@@ -37,7 +37,6 @@ from .plfcheck import (
     ExtendedTable,
     ProofTrace,
     Verdict,
-    brute_force_feasible,
     maximal_subtable,
     plf_feasible,
     validate_extended_table,

@@ -68,7 +68,7 @@ class _InputError(Exception):
 
 
 def _ast_dump(f) -> dict:
-    from .formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or
+    from .formula import Atom, Box, Diamond, Not
     if isinstance(f, Atom):
         return {"atom": {"variable": f.variable, "value": f.value}}
     name = type(f).__name__.lower()
@@ -201,10 +201,6 @@ def cmd_hardy(args) -> RunReport:
     return report
 
 
-def _relaxed_problem(beh, drop_cell):
-    return drop_impossibility(scenario.encode(beh), drop_cell)
-
-
 def cmd_prove(args) -> RunReport:
     report = RunReport(command="prove")
     lines: list[str] = []
@@ -245,7 +241,7 @@ def cmd_prove(args) -> RunReport:
     drops = [args.drop] if args.drop else sorted(IMPOSSIBLE_CELLS)
     relaxations = {}
     for name in drops:
-        relaxed = _relaxed_problem(beh, IMPOSSIBLE_CELLS[name])
+        relaxed = drop_impossibility(problem, IMPOSSIBLE_CELLS[name])
         result = solve_depth1(relaxed)
         is_sat = isinstance(result, Model)
         rechecked = is_sat and recheck_model(relaxed, result.points)

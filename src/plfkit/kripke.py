@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .formula import (
@@ -36,6 +36,7 @@ from .formula import (
     Implies,
     Not,
     Or,
+    atoms_of,
     is_propositional,
     parse,
     render,
@@ -262,22 +263,9 @@ class Depth1Problem:
             for body in bodies:
                 if not is_propositional(body):
                     raise FragmentError(f"modal operator inside clause body: {render(body)}")
-                for atom in _atoms(body):
+                for atom in atoms_of(body):
                     if atom.variable not in self.atom_domains:
                         raise ValueError(f"variable {atom.variable} not in atom_domains")
-
-
-def _atoms(f: Formula):
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            yield node
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
 
 
 @dataclass(frozen=True)

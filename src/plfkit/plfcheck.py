@@ -28,10 +28,8 @@ __all__ = [
     "ProofTrace",
     "Verdict",
     "ConfigMismatch",
-    "DomainTooLarge",
     "maximal_subtable",
     "plf_feasible",
-    "brute_force_feasible",
     "validate_extended_table",
     "cd_values",
     "trace_to_text",
@@ -39,10 +37,6 @@ __all__ = [
 
 
 class ConfigMismatch(ValueError):
-    pass
-
-
-class DomainTooLarge(ValueError):
     pass
 
 
@@ -302,13 +296,6 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
                          for y in cfg.y_values}
                 if len(margs) > 1:
                     return False
-        # redundant coarse check: possibility of the record pair itself must
-        # not depend on the settings at all (implied by the two above)
-        margs = {any(t.entries[(a, b, c, d, x, y)]
-                     for a in cfg.a_values for b in cfg.b_values)
-                 for x in cfg.x_values for y in cfg.y_values}
-        if len(margs) > 1:
-            return False
 
     if t.marginal() != beh.possible:
         return False
@@ -317,67 +304,3 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
                    for a in cfg.a_values for b in cfg.b_values for (c, d) in cds):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Independent brute-force oracle (bitmask enumeration; shares no code with
-# the deflation path)
-# ---------------------------------------------------------------------------
-
-
-def brute_force_feasible(beh: Behavior) -> bool:
-    """Feasibility by exhaustive enumeration of valid sub-tables per slice."""
-    cfg = beh.config
-    cells = cfg.cells()
-    if len(cells) > 24:
-        raise DomainTooLarge(f"{len(cells)} cells per slice exceeds the oracle bound of 24")
-    index = {cell: i for i, cell in enumerate(cells)}
-
-    possible_mask = 0
-    for cell in cells:
-        if beh.possible[cell]:
-            possible_mask |= 1 << index[cell]
-
-    groups_a = []  # per (b, y): list over x of cell masks
-    for b in cfg.b_values:
-        for y in cfg.y_values:
-            groups_a.append([
-                sum(1 << index[(a, b, x, y)] for a in cfg.a_values)
-                for x in cfg.x_values
-            ])
-    groups_b = []  # per (a, x): list over y of cell masks
-    for a in cfg.a_values:
-        for x in cfg.x_values:
-            groups_b.append([
-                sum(1 << index[(a, b, x, y)] for b in cfg.b_values)
-                for y in cfg.y_values
-            ])
-
-    def slice_valid(s: int) -> bool:
-        for group in groups_a:
-            hits = [bool(s & g) for g in group]
-            if any(hits) and not all(hits):
-                return False
-        for group in groups_b:
-            hits = [bool(s & g) for g in group]
-            if any(hits) and not all(hits):
-                return False
-        return True
-
-    covered = 0
-    for (c, d) in cd_values(cfg):
-        allowed = possible_mask
-        for cell in cells:
-            a, b, x, y = cell
-            if (cfg.friend_a and x == cfg.read_x and a != c) or \
-               (cfg.friend_b and y == cfg.read_y and b != d):
-                allowed &= ~(1 << index[cell])
-        s = allowed
-        while True:
-            if slice_valid(s):
-                covered |= s
-            if s == 0:
-                break
-            s = (s - 1) & allowed
-
-    return covered & possible_mask == possible_mask

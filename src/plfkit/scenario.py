@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .formula import Atom, Formula, Implies, conj, disj
@@ -151,10 +151,12 @@ def encode(beh: Behavior) -> Depth1Problem:
 
     Emits, at the reference world:
       - Required / Forbidden for each possible / impossible behavior cell;
-      - Conditional clauses: any possible assignment to variables outside an
-        intervention's future light cone stays possible in conjunction with
+      - Conditional clauses: any possible assignment to the variables outside
+        an intervention's future light cone stays possible in conjunction with
         any value of that intervention (X cannot reach B, C, D, Y; Y cannot
-        reach A, C, D, X);
+        reach A, C, D, X).  Only finest assignments, which fix every such
+        variable, are emitted: the clauses for partial assignments follow
+        from them (docs/feasibility.md);
       - MustAll reading clauses: at the reading setting a superobserver's
         outcome copies the friend's record.
 
@@ -195,16 +197,10 @@ def encode(beh: Behavior) -> Depth1Problem:
     }
     for z in ("X", "Y"):
         pool = eligible[z]
-        for size in range(1, len(pool) + 1):
-            for subset in itertools.combinations(pool, size):
-                for values in itertools.product(*(domains[v] for v in subset)):
-                    event = conj([Atom(var, val) for var, val in zip(subset, values)])
-                    for zval in domains[z]:
-                        constraints.append(Conditional(
-                            event,
-                            conj([Atom(var, val) for var, val in zip(subset, values)]
-                                 + [Atom(z, zval)]),
-                        ))
+        for values in itertools.product(*(domains[v] for v in pool)):
+            event = [Atom(var, val) for var, val in zip(pool, values)]
+            for zval in domains[z]:
+                constraints.append(Conditional(conj(event), conj(event + [Atom(z, zval)])))
 
     return Depth1Problem(atom_domains=domains, constraints=tuple(constraints))
 

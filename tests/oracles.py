@@ -2,8 +2,8 @@
 
 Nothing here shares code with the library's decision procedures: formulas
 are evaluated against plain dict assignments, the depth-1 oracle is a
-naive set-based deflation, and slice enumeration walks every sub-table
-explicitly.
+naive set-based deflation, slice enumeration walks every sub-table
+explicitly, and the brute-force decider enumerates bitmask sub-tables.
 """
 
 from __future__ import annotations
@@ -120,3 +120,72 @@ def enumerate_valid_slices(beh, c, d):
             if slice_cells_valid(beh, c, d, combo):
                 out.append(frozenset(combo))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Brute-force feasibility (bitmask enumeration; shares no code with the
+# deflation path)
+# ---------------------------------------------------------------------------
+
+
+class DomainTooLarge(ValueError):
+    pass
+
+
+def brute_force_feasible(beh) -> bool:
+    """Feasibility by exhaustive enumeration of valid sub-tables per slice."""
+    cfg = beh.config
+    cells = cfg.cells()
+    if len(cells) > 24:
+        raise DomainTooLarge(f"{len(cells)} cells per slice exceeds the oracle bound of 24")
+    index = {cell: i for i, cell in enumerate(cells)}
+
+    possible_mask = 0
+    for cell in cells:
+        if beh.possible[cell]:
+            possible_mask |= 1 << index[cell]
+
+    groups_a = []  # per (b, y): list over x of cell masks
+    for b in cfg.b_values:
+        for y in cfg.y_values:
+            groups_a.append([
+                sum(1 << index[(a, b, x, y)] for a in cfg.a_values)
+                for x in cfg.x_values
+            ])
+    groups_b = []  # per (a, x): list over y of cell masks
+    for a in cfg.a_values:
+        for x in cfg.x_values:
+            groups_b.append([
+                sum(1 << index[(a, b, x, y)] for b in cfg.b_values)
+                for y in cfg.y_values
+            ])
+
+    def slice_valid(s: int) -> bool:
+        for group in groups_a:
+            hits = [bool(s & g) for g in group]
+            if any(hits) and not all(hits):
+                return False
+        for group in groups_b:
+            hits = [bool(s & g) for g in group]
+            if any(hits) and not all(hits):
+                return False
+        return True
+
+    covered = 0
+    for c in (cfg.a_values if cfg.friend_a else (None,)):
+        for d in (cfg.b_values if cfg.friend_b else (None,)):
+            allowed = possible_mask
+            for cell in cells:
+                a, b, x, y = cell
+                if (cfg.friend_a and x == cfg.read_x and a != c) or \
+                   (cfg.friend_b and y == cfg.read_y and b != d):
+                    allowed &= ~(1 << index[cell])
+            s = allowed
+            while True:
+                if slice_valid(s):
+                    covered |= s
+                if s == 0:
+                    break
+                s = (s - 1) & allowed
+
+    return covered & possible_mask == possible_mask

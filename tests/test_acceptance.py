@@ -13,12 +13,12 @@ from plfkit.formula import (
     And, Atom, Box, Diamond, Iff, Implies, Not, Or, parse, render,
 )
 from plfkit.kripke import KripkeModel, Model, Unsat, evaluate, recheck_model, solve_depth1
-from plfkit.plfcheck import brute_force_feasible, cd_values, maximal_subtable, plf_feasible
+from plfkit.plfcheck import cd_values, maximal_subtable, plf_feasible
 from plfkit.quantum import born_table, hardy_behavior, hardy_state
 from plfkit.scenario import Behavior, ScenarioConfig, check_pns, drop_impossibility, encode
 from plfkit.cli import IMPOSSIBLE_CELLS
 from conftest import random_behavior
-from oracles import enumerate_valid_slices, slice_cells_valid
+from oracles import brute_force_feasible, enumerate_valid_slices, slice_cells_valid
 from test_quantum import symbolic_prob
 
 BOTH_FRIENDS = ScenarioConfig(friend_a=True, friend_b=True)

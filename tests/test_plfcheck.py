@@ -5,9 +5,7 @@ import pytest
 from plfkit.kripke import Model, solve_depth1
 from plfkit.plfcheck import (
     ConfigMismatch,
-    DomainTooLarge,
     ExtendedTable,
-    brute_force_feasible,
     cd_values,
     maximal_subtable,
     plf_feasible,
@@ -16,7 +14,7 @@ from plfkit.plfcheck import (
 )
 from plfkit.scenario import Behavior, ScenarioConfig, check_pns, encode
 from conftest import random_behavior
-from oracles import enumerate_valid_slices, slice_cells_valid
+from oracles import DomainTooLarge, brute_force_feasible, enumerate_valid_slices, slice_cells_valid
 
 BOTH_FRIENDS = ScenarioConfig(friend_a=True, friend_b=True)
 NO_FRIENDS = ScenarioConfig()

@@ -4,8 +4,16 @@ import random
 
 import pytest
 
-from plfkit.formula import Atom, atoms_of
-from plfkit.kripke import Conditional, Forbidden, Model, MustAll, Required, solve_depth1
+from plfkit.formula import Atom, atoms_of, conj
+from plfkit.kripke import (
+    Conditional,
+    Depth1Problem,
+    Forbidden,
+    Model,
+    MustAll,
+    Required,
+    solve_depth1,
+)
 from plfkit.scenario import (
     Behavior,
     ScenarioConfig,
@@ -81,9 +89,9 @@ class TestEncode:
         assert kinds[Required] == 13
         assert kinds[Forbidden] == 3
         assert kinds[MustAll] == 2
-        # two interventions, four reachable variables each, binary domains,
-        # two intervention values: 2 * (3^4 - 1) * 2
-        assert kinds[Conditional] == 320
+        # two interventions, one finest assignment per value of the four
+        # variables outside each light cone, two intervention values: 2 * 2^4 * 2
+        assert kinds[Conditional] == 64
 
     def test_hardy_forbidden_cells(self, hardy_beh):
         prob = encode(hardy_beh)
@@ -119,25 +127,32 @@ class TestEncode:
             drop_impossibility(prob, (0, 0, 1, 1))  # that cell is possible
 
 
-def _conditional_families(prob):
-    """Split Conditional clauses into finest-assignment and coarser ones."""
-    finest, coarser = [], []
-    for c in prob.constraints:
-        if not isinstance(c, Conditional):
-            continue
-        ant_vars = {a.variable for a in atoms_of(c.antecedent)}
-        z = next(iter({a.variable for a in atoms_of(c.consequent)} - ant_vars))
-        pool_size = sum(v in prob.atom_domains for v in
-                        (("B", "C", "D", "Y") if z == "X" else ("A", "C", "D", "X")))
-        (finest if len(ant_vars) == pool_size else coarser).append(c)
-    return finest, coarser
+def _coarse_conditionals(prob):
+    """Light-cone clauses for the partial assignments `encode` leaves out.
+
+    For each intervention, every proper non-empty subset of the variables
+    outside its light cone, each assignment to that subset, and each value
+    of the intervention.
+    """
+    domains = prob.atom_domains
+    out = []
+    for z, pool in (("X", ("B", "C", "D", "Y")), ("Y", ("A", "C", "D", "X"))):
+        pool = [v for v in pool if v in domains]
+        for size in range(1, len(pool)):
+            for subset in itertools.combinations(pool, size):
+                for values in itertools.product(*(domains[v] for v in subset)):
+                    event = [Atom(var, val) for var, val in zip(subset, values)]
+                    for zval in domains[z]:
+                        out.append(Conditional(conj(event), conj(event + [Atom(z, zval)])))
+    return out
 
 
 def test_coarse_conditionals_follow_from_finest(rng):
     for _ in range(20):
         beh = random_behavior(rng)
         prob = encode(beh)
-        finest, coarser = _conditional_families(prob)
+        finest = [c for c in prob.constraints if isinstance(c, Conditional)]
+        coarser = _coarse_conditionals(prob)
         assert finest and coarser
         variables = sorted(prob.atom_domains)
         grid = [dict(zip(variables, combo))
@@ -151,6 +166,32 @@ def test_coarse_conditionals_follow_from_finest(rng):
 
             if all(holds(c) for c in finest):
                 assert all(holds(c) for c in coarser)
+
+
+MIXED_CONFIGS = [
+    NO_FRIENDS,
+    ScenarioConfig(friend_a=True),
+    ScenarioConfig(friend_b=True),
+    BOTH_FRIENDS,
+    ScenarioConfig(x_values=(1, 2, 3), y_values=(1, 2, 3), friend_a=True, friend_b=True),
+    ScenarioConfig(a_values=(0, 1, 2), b_values=(0, 1, 2), friend_a=True, friend_b=True),
+]
+
+
+@pytest.mark.parametrize("cfg", MIXED_CONFIGS, ids=["none", "a", "b", "both", "3x2", "2x3"])
+def test_finest_family_solves_like_full_family(rng, cfg):
+    for _ in range(12):
+        beh = random_behavior(rng, cfg, p=rng.choice([0.5, 0.7, 0.9]))
+        prob = encode(beh)
+        full = Depth1Problem(prob.atom_domains,
+                             prob.constraints + tuple(_coarse_conditionals(prob)))
+        slim, wide = solve_depth1(prob), solve_depth1(full)
+        assert type(slim) is type(wide)
+        if isinstance(slim, Model):
+            assert slim.points == wide.points
+        else:
+            assert slim.core.required == wide.core.required
+            assert slim.core.never_candidates == wide.core.never_candidates
 
 
 def test_friendless_satisfiability_is_pns(rng):
