@@ -67,6 +67,13 @@ class _InputError(Exception):
     pass
 
 
+def _write_output(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _ast_dump(f) -> dict:
     from .formula import Atom, Box, Diamond, Not
     if isinstance(f, Atom):
@@ -124,7 +131,7 @@ def cmd_check(args) -> RunReport:
         text, digest = _read_input(args.behavior)
         report.inputs[args.behavior] = digest
         beh = behavior_from_json(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise _InputError(f"bad behavior file: {exc}") from exc
 
     if args.mode == "pns":
@@ -138,7 +145,11 @@ def cmd_check(args) -> RunReport:
         return report
 
     verdict = plfcheck.plf_feasible(beh)
-    sat = solve_depth1(scenario.encode(beh))
+    try:
+        problem = scenario.encode(beh)
+    except ValueError as exc:
+        raise _InputError(f"bad behavior file: {exc}") from exc
+    sat = solve_depth1(problem)
     if verdict.feasible != isinstance(sat, Model):
         print("internal error: table route and modal route disagree "
               f"(table: {verdict.feasible}, modal: {isinstance(sat, Model)})",
@@ -158,7 +169,7 @@ def cmd_check(args) -> RunReport:
             }
         else:
             payload = verdict.trace.to_dict()
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_output(Path(args.out), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if not args.json:
         if verdict.feasible:
             print("possibilistic local friendliness: feasible")
@@ -172,7 +183,10 @@ def cmd_hardy(args) -> RunReport:
     report = RunReport(command="hardy")
     epsilon = args.epsilon
     table = quantum.born_table(quantum.hardy_state())
-    beh = quantum.hardy_behavior(epsilon)
+    try:
+        beh = quantum.hardy_behavior(epsilon)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     def fmt(p: float) -> str:
         return "0" if abs(p) <= 1e-12 else f"{p:.6f}"
 
@@ -190,9 +204,12 @@ def cmd_hardy(args) -> RunReport:
     }
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "hardy_probs.json").write_text(table.to_json() + "\n")
-        (outdir / "hardy_behavior.json").write_text(behavior_json)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _InputError(f"cannot create {outdir}: {exc.strerror or exc}") from exc
+        _write_output(outdir / "hardy_probs.json", table.to_json() + "\n")
+        _write_output(outdir / "hardy_behavior.json", behavior_json)
     if not args.json:
         # headline goes to stderr so stdout stays a valid behavior file and
         # `plfkit hardy | plfkit check --mode plf` works
@@ -269,7 +286,7 @@ def cmd_prove(args) -> RunReport:
     report.exit_code = EXIT_OK if ok else EXIT_NEGATIVE
     text = "\n".join(lines)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_output(Path(args.out), text + "\n")
     if not args.json:
         print(text)
     return report

@@ -1,6 +1,15 @@
 """Finite Kripke models, the modal truth-condition evaluator, and an exact
 satisfiability decision for depth-1 problems.
 
+The evaluator is the labelling algorithm: it computes the extension of a
+formula, the set of worlds where it holds, bottom-up by set algebra over
+the model's valuation and a predecessor index built once per model.
+<>phi holds at the predecessors of ext(phi); []phi at every world that
+is not a predecessor of a world outside ext(phi), so dead ends make every
+[]phi true and every <>phi false.  evaluate and valid read one extension;
+they share no code with the depth-1 solver below, so recheck_model is an
+independent check of its models.
+
 A depth-1 problem is a conjunction of constraints evaluated at a single
 reference world w0, each of one of the shapes
 
@@ -72,6 +81,9 @@ class UnknownWorldError(KeyError):
     pass
 
 
+_NOWHERE = frozenset()
+
+
 @dataclass(frozen=True)
 class KripkeModel:
     """Worlds W, accessibility relation R and valuation V.
@@ -102,37 +114,55 @@ class KripkeModel:
             bad = ws - self.worlds
             if bad:
                 raise ValueError(f"valuation of {render(atom)} mentions unknown worlds {sorted(bad)}")
+        # successor and predecessor index, built once for successors() and
+        # the evaluator; worlds without any are absent
+        succ: dict = {}
+        pred: dict = {}
+        for (u, v) in self.relation:
+            succ.setdefault(u, []).append(v)
+            pred.setdefault(v, []).append(u)
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
 
     def successors(self, w):
-        return {v for (u, v) in self.relation if u == w}
+        return frozenset(self._succ.get(w, ()))
+
+
+def _extension(m: KripkeModel, f: Formula) -> frozenset:
+    """The set of worlds of m where f holds, labelled bottom-up."""
+    if isinstance(f, Atom):
+        return m.valuation.get(f, _NOWHERE)
+    if isinstance(f, Not):
+        return m.worlds - _extension(m, f.child)
+    if isinstance(f, And):
+        return _extension(m, f.left) & _extension(m, f.right)
+    if isinstance(f, Or):
+        return _extension(m, f.left) | _extension(m, f.right)
+    if isinstance(f, Implies):
+        # (W - l) | r, with one copy of W instead of two
+        return m.worlds - (_extension(m, f.left) - _extension(m, f.right))
+    if isinstance(f, Iff):
+        return m.worlds - (_extension(m, f.left) ^ _extension(m, f.right))
+    if isinstance(f, Diamond):
+        # worlds with some successor in ext(child); dead ends have none
+        return frozenset().union(*(m._pred.get(v, _NOWHERE) for v in _extension(m, f.child)))
+    if isinstance(f, Box):
+        # worlds with no successor outside ext(child); dead ends qualify
+        outside = m.worlds - _extension(m, f.child)
+        return m.worlds - frozenset().union(*(m._pred.get(v, _NOWHERE) for v in outside))
+    raise TypeError(f"not a Formula: {f!r}")
 
 
 def evaluate(m: KripkeModel, w, f: Formula) -> bool:
     """Truth of f at world w of m."""
     if w not in m.worlds:
         raise UnknownWorldError(w)
-    if isinstance(f, Atom):
-        return w in m.valuation.get(f, frozenset())
-    if isinstance(f, Not):
-        return not evaluate(m, w, f.child)
-    if isinstance(f, And):
-        return evaluate(m, w, f.left) and evaluate(m, w, f.right)
-    if isinstance(f, Or):
-        return evaluate(m, w, f.left) or evaluate(m, w, f.right)
-    if isinstance(f, Implies):
-        return (not evaluate(m, w, f.left)) or evaluate(m, w, f.right)
-    if isinstance(f, Iff):
-        return evaluate(m, w, f.left) == evaluate(m, w, f.right)
-    if isinstance(f, Box):
-        return all(evaluate(m, v, f.child) for v in m.successors(w))
-    if isinstance(f, Diamond):
-        return any(evaluate(m, v, f.child) for v in m.successors(w))
-    raise TypeError(f"not a Formula: {f!r}")
+    return w in _extension(m, f)
 
 
 def valid(m: KripkeModel, f: Formula) -> bool:
     """True iff f holds at every world of m."""
-    return all(evaluate(m, w, f) for w in m.worlds)
+    return _extension(m, f) == m.worlds
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +176,40 @@ def model_from_json(data) -> KripkeModel:
     """Build a model from the JSON dict form; unknown keys are rejected."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError("model file must be a JSON object")
     unknown = set(data) - _MODEL_KEYS
     if unknown:
         raise ValueError(f"unknown keys in model file: {sorted(unknown)}")
     missing = _MODEL_KEYS - set(data)
     if missing:
         raise ValueError(f"missing keys in model file: {sorted(missing)}")
+    _check_names(data["worlds"], "worlds")
+    if not isinstance(data["relation"], list):
+        raise ValueError("relation must be a list of [world, world] pairs")
+    for pair in data["relation"]:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"relation entry is not a [world, world] pair: {pair!r}")
+        _check_names(pair, "relation pair")
+    if not isinstance(data["valuation"], dict):
+        raise ValueError("valuation must be an object from atoms to lists of worlds")
     valuation = {}
     for key, worlds in data["valuation"].items():
         atom = parse(key)
         if not isinstance(atom, Atom):
             raise ValueError(f"valuation key is not an atom: {key!r}")
+        _check_names(worlds, f"valuation of {key}")
         valuation[atom] = frozenset(worlds)
     return KripkeModel(
         worlds=frozenset(data["worlds"]),
         relation=frozenset(tuple(p) for p in data["relation"]),
         valuation=valuation,
     )
+
+
+def _check_names(names, what: str) -> None:
+    if not isinstance(names, list) or not all(isinstance(w, str) for w in names):
+        raise ValueError(f"{what} must be a list of world names (strings), got {names!r}")
 
 
 def model_to_json(m: KripkeModel) -> dict:
@@ -402,12 +449,15 @@ def points_to_model(p: Depth1Problem, points, reference: str = "w0") -> KripkeMo
     names = {pt: f"w{i + 1}" for i, pt in enumerate(points)}
     worlds = {reference} | set(names.values())
     relation = {(reference, names[pt]) for pt in points}
-    valuation: dict[Atom, set] = {}
+    by_pair: dict[tuple, set] = {}
     for pt in points:
-        for var, val in pt.assignment:
-            valuation.setdefault(Atom(var, str(val)), set()).add(names[pt])
-    return KripkeModel(frozenset(worlds), frozenset(relation),
-                       {a: frozenset(ws) for a, ws in valuation.items()})
+        name = names[pt]
+        for pair in pt.assignment:
+            by_pair.setdefault(pair, set()).add(name)
+    valuation: dict[Atom, set] = {}
+    for (var, val), ws in by_pair.items():
+        valuation.setdefault(Atom(var, str(val)), set()).update(ws)
+    return KripkeModel(frozenset(worlds), frozenset(relation), valuation)
 
 
 def recheck_model(p: Depth1Problem, points, reference: str = "w0") -> bool:

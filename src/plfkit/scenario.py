@@ -249,7 +249,10 @@ def behavior_from_json(data) -> Behavior:
         read_x=data["read_x"],
         read_y=data["read_y"],
     )
-    return Behavior.from_cells(cfg, [tuple(c) for c in data["possible"]])
+    possible = data["possible"]
+    if not isinstance(possible, list) or not all(isinstance(c, list) for c in possible):
+        raise ValueError("possible must be a list of [a, b, x, y] cells")
+    return Behavior.from_cells(cfg, [tuple(c) for c in possible])
 
 
 def behavior_to_json(beh: Behavior) -> dict:

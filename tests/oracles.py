@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Nothing here shares code with the library's decision procedures: formulas
-are evaluated against plain dict assignments, the depth-1 oracle is a
-naive set-based deflation, slice enumeration walks every sub-table
-explicitly, and the brute-force decider enumerates bitmask sub-tables.
+are evaluated against plain dict assignments, modal formulas world by world
+by the recursive truth conditions, the depth-1 oracle is a naive set-based
+deflation, slice enumeration walks every sub-table explicitly, and the
+brute-force decider enumerates bitmask sub-tables.
 """
 
 from __future__ import annotations
@@ -28,6 +29,32 @@ def eval_prop(f, assignment: dict) -> bool:
         return (not eval_prop(f.left, assignment)) or eval_prop(f.right, assignment)
     if isinstance(f, Iff):
         return eval_prop(f.left, assignment) == eval_prop(f.right, assignment)
+    raise TypeError(f"unexpected node {f!r}")
+
+
+def naive_evaluate(m, w, f) -> bool:
+    """Truth of f at world w of a KripkeModel, by recursion on f at each world.
+
+    Reads only the model's worlds, relation and valuation fields; successors
+    are found by scanning the relation.
+    """
+    if isinstance(f, Atom):
+        return w in m.valuation.get(f, frozenset())
+    if isinstance(f, Not):
+        return not naive_evaluate(m, w, f.child)
+    if isinstance(f, And):
+        return naive_evaluate(m, w, f.left) and naive_evaluate(m, w, f.right)
+    if isinstance(f, Or):
+        return naive_evaluate(m, w, f.left) or naive_evaluate(m, w, f.right)
+    if isinstance(f, Implies):
+        return (not naive_evaluate(m, w, f.left)) or naive_evaluate(m, w, f.right)
+    if isinstance(f, Iff):
+        return naive_evaluate(m, w, f.left) == naive_evaluate(m, w, f.right)
+    successors = [v for (u, v) in m.relation if u == w]
+    if isinstance(f, Box):
+        return all(naive_evaluate(m, v, f.child) for v in successors)
+    if isinstance(f, Diamond):
+        return any(naive_evaluate(m, v, f.child) for v in successors)
     raise TypeError(f"unexpected node {f!r}")
 
 

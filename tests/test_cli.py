@@ -44,6 +44,14 @@ def all_possible_file(tmp_path):
     return str(path)
 
 
+def assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
 class TestParse:
     def test_echo(self, capsys):
         assert main(["parse", "<>(A=1 & B=1)"]) == 0
@@ -74,6 +82,17 @@ class TestEval:
 
     def test_unknown_world_exit_2(self, model_file):
         assert main(["eval", model_file, "w9", "Q"]) == 2
+
+    @pytest.mark.parametrize("data, message", [
+        ({"worlds": [["w"]], "relation": [], "valuation": {}}, "world names"),
+        ({"worlds": ["w"], "relation": [["w"]], "valuation": {}}, "pair"),
+        ({"worlds": ["w"], "relation": [], "valuation": {"Q": "w"}}, "world names"),
+    ], ids=["world-not-string", "short-pair", "valuation-value-string"])
+    def test_malformed_model_exit_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["eval", str(path), "w", "Q"]) == 2
+        assert message in assert_one_line_error(capsys)
 
 
 class TestCheck:
@@ -159,3 +178,33 @@ class TestProve:
         assert report["verdicts"]["table_infeasible"] is True
         assert all(v["satisfiable"] and v["recheck"]
                    for v in report["verdicts"]["relaxations"].values())
+
+
+class TestBoundaryErrors:
+    """Bad inputs exit 2 with a one-line message, never 1 or a traceback."""
+
+    def test_hardy_epsilon_out_of_range(self, capsys):
+        assert main(["hardy", "--epsilon", "0.5"]) == 2
+        assert_one_line_error(capsys)
+
+    def test_check_out_into_missing_directory(self, hardy_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "trace.json"
+        assert main(["check", hardy_file, "--out", str(out)]) == 2
+        assert_one_line_error(capsys)
+
+    def test_prove_out_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "prove.txt"
+        assert main(["prove", "--out", str(out)]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: {**data, "possible": 5},
+        lambda data: {**data, "a_values": [-1, 1],
+                      "possible": [[-1 if a == 0 else a, b, x, y]
+                                   for a, b, x, y in data["possible"]]},
+    ], ids=["possible-not-a-list", "outcome-not-an-atom-value"])
+    def test_bad_behavior_file(self, tmp_path, capsys, edit):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(behavior_to_json(hardy_behavior()))))
+        assert main(["check", str(path)]) == 2
+        assert_one_line_error(capsys)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plfkit.formula import And, Atom, Box, Diamond, Implies, Not, Or, parse
+from plfkit.formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or, parse
 from plfkit.kripke import (
     Conditional,
     Depth1Problem,
@@ -26,7 +26,8 @@ from plfkit.kripke import (
     solve_depth1,
     valid,
 )
-from oracles import naive_depth1_satisfiable, set_satisfies
+from plfkit.scenario import drop_impossibility, encode
+from oracles import naive_depth1_satisfiable, naive_evaluate, set_satisfies
 
 Q = Atom("Q")
 
@@ -107,6 +108,20 @@ class TestModelJson:
         with pytest.raises(ValueError):
             KripkeModel(set(), set(), {})
 
+    @pytest.mark.parametrize("data, message", [
+        (["w"], "JSON object"),
+        ({"worlds": [["w"]], "relation": [], "valuation": {}}, "world names"),
+        ({"worlds": "w", "relation": [], "valuation": {}}, "world names"),
+        ({"worlds": ["w"], "relation": [["w"]], "valuation": {}}, "pair"),
+        ({"worlds": ["w"], "relation": [["w", "w", "w"]], "valuation": {}}, "pair"),
+        ({"worlds": ["w"], "relation": [], "valuation": {"Q": "w"}}, "world names"),
+        ({"worlds": ["w"], "relation": [], "valuation": ["Q"]}, "valuation must be an object"),
+    ], ids=["not-object", "world-not-string", "worlds-not-list", "short-pair",
+            "long-pair", "valuation-value-string", "valuation-not-object"])
+    def test_malformed_shapes_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            model_from_json(data)
+
 
 # -- duality property --------------------------------------------------------
 
@@ -133,6 +148,42 @@ _prop_formulas = st.recursive(
 @given(_models, _prop_formulas, st.sampled_from(_world_names))
 def test_box_diamond_duality(m, f, w):
     assert evaluate(m, w, Box(f)) == evaluate(m, w, Not(Diamond(Not(f))))
+
+
+# -- evaluator against the per-world oracle -----------------------------------
+
+# S=0 never gets a valuation, and the others only sometimes: absent atoms
+_modal_atoms = [Atom("P"), Atom("Q"), Atom("R", "1"), Atom("S", "0")]
+
+
+@st.composite
+def _any_models(draw):
+    """Models on 1-4 worlds with arbitrary relations (self-loops, dead ends)."""
+    worlds = sorted(draw(st.sets(st.sampled_from(["u", "v", "x", "y"]), min_size=1)))
+    relation = draw(st.sets(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds))))
+    valued = draw(st.lists(st.sampled_from(_modal_atoms[:3]), unique=True))
+    valuation = {a: draw(st.frozensets(st.sampled_from(worlds))) for a in valued}
+    return KripkeModel(frozenset(worlds), frozenset(relation), valuation)
+
+
+_modal_formulas = st.recursive(
+    st.sampled_from(_modal_atoms),
+    lambda ch: st.one_of(
+        st.builds(Not, ch), st.builds(Diamond, ch), st.builds(Box, ch),
+        st.builds(And, ch, ch), st.builds(Or, ch, ch),
+        st.builds(Implies, ch, ch), st.builds(Iff, ch, ch),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(_any_models(), _modal_formulas)
+def test_evaluate_matches_naive_oracle(m, f):
+    truth = {w: naive_evaluate(m, w, f) for w in m.worlds}
+    for w in m.worlds:
+        assert evaluate(m, w, f) == truth[w]
+    assert valid(m, f) == all(truth.values())
 
 
 # -- depth-1 solver ----------------------------------------------------------
@@ -224,6 +275,33 @@ def test_solver_matches_naive_oracle_on_random_problems():
         assert isinstance(result, Model) == naive_depth1_satisfiable(prob)
         if isinstance(result, Model):
             assert recheck_model(prob, result.points)
+
+
+def test_recheck_matches_set_oracle_on_arbitrary_subsets():
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(200):
+        prob = _random_problem(rng)
+        variables = sorted(prob.atom_domains)
+        grid = [dict(zip(variables, combo))
+                for combo in itertools.product(*(prob.atom_domains[v] for v in variables))]
+        subsets = [[], grid] + [[p for p in grid if rng.random() < 0.5] for _ in range(3)]
+        for subset in subsets:
+            expected = set_satisfies(prob, subset)
+            assert recheck_model(prob, {ValuationPoint.of(p) for p in subset}) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_recheck_rejects_model_with_a_point_removed(hardy_beh):
+    problem = drop_impossibility(encode(hardy_beh), (1, 1, 1, 1))
+    result = solve_depth1(problem)
+    assert isinstance(result, Model) and recheck_model(problem, result.points)
+    witness = ValuationPoint.of({"A": "1", "B": "1", "C": "1", "D": "1", "X": "1", "Y": "1"})
+    assert witness in result.points
+    smaller = result.points - {witness}
+    assert not set_satisfies(problem, [pt.as_dict() for pt in smaller])
+    assert recheck_model(problem, smaller) is False
 
 
 def test_union_closure_of_satisfying_sets():
