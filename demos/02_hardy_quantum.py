@@ -2,7 +2,9 @@
 
 Two friends share the entangled pair (|00> + |01> + |10>)/sqrt(3) and
 record their qubits; the superobservers either read the record (setting 1)
-or measure the whole lab in the superposition basis (setting 2).
+or measure the whole lab in the superposition basis (setting 2).  Every
+quantity is an exact rational, so the impossible events have probability
+exactly 0.
 
 Run:  python3 demos/02_hardy_quantum.py
 """
@@ -10,27 +12,32 @@ Run:  python3 demos/02_hardy_quantum.py
 from plfkit import born_table, hardy_behavior, hardy_state, measurement_effects
 from plfkit.scenario import check_pns
 
+
+def show(matrix):
+    for row in matrix:
+        print("   ", "  ".join(f"{str(v):>4}" for v in row))
+
+
 state = hardy_state()
-print("shared lab state amplitudes (records 00, 01, 10, 11):")
-print(" ", [f"{a:.6f}" for a in state.amplitudes.real])
+print("shared lab state as a density matrix |psi><psi| (records 00, 01, 10, 11):")
+show(state.density)
 print()
 
 print("setting-2 outcome-0 effect (projector onto the + superposition):")
-print(measurement_effects("A", 2)[0].matrix.real)
+show(measurement_effects("A", 2)[0].matrix)
 print()
 
 table = born_table(state)
 print("Born probabilities per context:")
 for x in (1, 2):
     for y in (1, 2):
-        row = "  ".join(f"P({a},{b}|{x},{y})={table.probs[(a, b, x, y)]:.4f}"
+        row = "  ".join(f"P({a},{b}|{x},{y})={str(table.probs[(a, b, x, y)]):<4}"
                         for a in (0, 1) for b in (0, 1))
-        print(" ", row)
+        print(" ", row.rstrip())
 print()
 
 beh = hardy_behavior()
 impossible = sorted(cell for cell, ok in beh.possible.items() if not ok)
-print("impossible superobserver events:", impossible)
-print("the headline cell (1,1|2,2) is possible with P = 1/12 =",
-      f"{table.probs[(1, 1, 2, 2)]:.6f}")
+print("impossible superobserver events (P = 0 exactly):", impossible)
+print("the headline cell (1,1|2,2) is possible with P =", table.probs[(1, 1, 2, 2)])
 print("possibilistic no-signalling holds:", check_pns(beh).holds)

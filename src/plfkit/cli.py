@@ -8,7 +8,8 @@ Subcommands:
     prove   end-to-end no-go reproduction with assumption-necessity runs
 
 Exit codes: 0 success / feasible / sat / true; 1 infeasible / unsat /
-violation / false; 2 usage or input error.
+violation / false; 2 usage or input error; 3 internal error (the table
+route and the modal route disagree).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .scenario import behavior_from_json, behavior_to_json, drop_impossibility
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 # The three impossibility clauses of the Hardy pattern, by conventional name.
 IMPOSSIBLE_CELLS = {
@@ -145,16 +147,12 @@ def cmd_check(args) -> RunReport:
         return report
 
     verdict = plfcheck.plf_feasible(beh)
-    try:
-        problem = scenario.encode(beh)
-    except ValueError as exc:
-        raise _InputError(f"bad behavior file: {exc}") from exc
-    sat = solve_depth1(problem)
+    sat = solve_depth1(scenario.encode(beh))
     if verdict.feasible != isinstance(sat, Model):
         print("internal error: table route and modal route disagree "
               f"(table: {verdict.feasible}, modal: {isinstance(sat, Model)})",
               file=sys.stderr)
-        report.exit_code = EXIT_USAGE
+        report.exit_code = EXIT_INTERNAL
         return report
 
     report.verdicts = {"feasible": verdict.feasible,
@@ -187,8 +185,8 @@ def cmd_hardy(args) -> RunReport:
         beh = quantum.hardy_behavior(epsilon)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    def fmt(p: float) -> str:
-        return "0" if abs(p) <= 1e-12 else f"{p:.6f}"
+    def fmt(p) -> str:
+        return "0" if p == 0 else f"{float(p):.6f}"
 
     headline = (f"P(1,1|1,1)={fmt(table.probs[(1, 1, 1, 1)])}  "
                 f"P(0,1|1,2)={fmt(table.probs[(0, 1, 1, 2)])}  "
@@ -199,7 +197,7 @@ def cmd_hardy(args) -> RunReport:
         "headline": headline,
         "epsilon": epsilon,
         "behavior": behavior_to_json(beh),
-        "probabilities": {f"a={a} b={b} x={x} y={y}": p
+        "probabilities": {f"a={a} b={b} x={x} y={y}": float(p)
                           for (a, b, x, y), p in sorted(table.probs.items())},
     }
     if args.out:
@@ -333,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardy", help="build the Hardy-type quantum behavior")
     p.add_argument("--epsilon", type=float, default=1e-9,
-                   help="possibility threshold on probabilities (default 1e-9)")
+                   help="possibility threshold, in (0, 1e-3] (default 1e-9); the "
+                        "probabilities are exact, so a cell is possible iff P != 0")
     common(p)
     p.set_defaults(func=cmd_hardy)
 

@@ -1,4 +1,4 @@
-"""Quantum model of the Hardy-type counterexample.
+"""Quantum model of the Hardy-type counterexample, in exact arithmetic.
 
 Each friend's sealed lab is modeled as a qubit: after the friend's
 measurement the lab state lies in the span of the two record states, and
@@ -6,18 +6,20 @@ every superobserver effect acts within that span, so the two-dimensional
 model is exact (the explicit ready-state/isometry construction is kept as
 a cross-check in the test suite).
 
+Every state and effect is real, and rational once written as a projector,
+so matrices are tuples of `Fraction` rows and every Born probability is an
+exact rational: the Hardy zeros are exactly 0, the headline value 1/12.
+
 Basis order for the joint state is Alice-lab-major: index 2*c + d holds
-the amplitude of the Alice record c, Bob record d basis state.
+the Alice record c, Bob record d basis state.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
-
-import numpy as np
 
 from .scenario import Behavior, ScenarioConfig
 
@@ -33,8 +35,6 @@ __all__ = [
     "HARDY_CONFIG",
 ]
 
-_TOL = 1e-12
-
 HARDY_CONFIG = ScenarioConfig(friend_a=True, friend_b=True, read_x=1, read_y=1)
 
 
@@ -42,80 +42,73 @@ class NormalizationError(ValueError):
     pass
 
 
+def _projector(rows, what: str, unit_trace: bool = False) -> tuple:
+    """`rows` as a tuple of `Fraction` rows, checked to be an orthogonal projector.
+
+    Raises ValueError unless the matrix is square, symmetric and idempotent,
+    and NormalizationError if `unit_trace` is set and the trace is not 1.
+    """
+    m = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    n = len(m)
+    if not n or any(len(row) != n for row in m):
+        raise ValueError(f"{what} matrix must be square")
+    if unit_trace and sum(m[i][i] for i in range(n)) != 1:
+        raise NormalizationError(f"{what} trace is not 1")
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise ValueError(f"{what} matrix is not symmetric")
+    square = tuple(tuple(sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n))
+                   for i in range(n))
+    if square != m:
+        raise ValueError(f"{what} matrix is not idempotent")
+    return m
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm complex amplitude vector."""
+    """Pure state held as its density matrix |psi><psi| (trace-1 projector)."""
 
-    amplitudes: np.ndarray
+    density: tuple
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > _TOL:
-            raise NormalizationError(f"state norm^2 = {norm!r}, not 1")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        object.__setattr__(self, "density", _projector(self.density, "state", unit_trace=True))
 
 
 @dataclass(frozen=True)
 class Effect:
-    """Projective measurement effect (Hermitian idempotent matrix)."""
+    """Projective measurement effect (symmetric idempotent rational matrix)."""
 
-    matrix: np.ndarray
+    matrix: tuple
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex).copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("effect matrix must be square")
-        if np.abs(mat - mat.conj().T).max() > _TOL:
-            raise ValueError("effect matrix is not Hermitian")
-        if np.abs(mat @ mat - mat).max() > _TOL:
-            raise ValueError("effect matrix is not idempotent")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        object.__setattr__(self, "matrix", _projector(self.matrix, "effect"))
 
 
 @dataclass(frozen=True)
 class ProbTable:
-    """Outcome probabilities per context; each context sums to one."""
+    """Exact outcome probabilities per context; each context sums to one."""
 
-    probs: Mapping[tuple, float]
+    probs: Mapping[tuple, Fraction]
 
     def __post_init__(self):
         object.__setattr__(self, "probs", dict(self.probs))
         for key, p in self.probs.items():
-            if not -1e-12 <= p <= 1 + 1e-12:
+            if not 0 <= p <= 1:
                 raise ValueError(f"probability out of range at {key}: {p}")
 
     def to_json(self) -> str:
-        rows = {f"a={a} b={b} x={x} y={y}": p
+        rows = {f"a={a} b={b} x={x} y={y}": float(p)
                 for (a, b, x, y), p in sorted(self.probs.items())}
         return json.dumps(rows, indent=2, sort_keys=True)
 
 
 def hardy_state() -> StateVector:
-    """Shared lab state with the record-(1,1) component absent."""
-    s = 1.0 / math.sqrt(3.0)
-    return StateVector(np.array([s, s, s, 0.0], dtype=complex))
+    """Shared lab state (|00> + |01> + |10>)/sqrt(3): the record-(1,1) component is absent."""
+    psi = (1, 1, 1, 0)  # times 1/sqrt(3)
+    return StateVector(tuple(tuple(Fraction(u * v, 3) for v in psi) for u in psi))
 
 
-def _record_projector(outcome: int) -> np.ndarray:
-    v = np.zeros(2, dtype=complex)
-    v[outcome] = 1.0
-    return np.outer(v, v.conj())
-
-
-def _plus_projector() -> np.ndarray:
-    v = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    return np.outer(v, v.conj())
+# Outcome-0 projectors: setting 1 onto record 0, setting 2 onto (|0> + |1>)/sqrt(2).
+_OUTCOME0 = {1: ((1, 0), (0, 0)), 2: ((Fraction(1, 2),) * 2,) * 2}
 
 
 def measurement_effects(party: str, setting: int) -> list[Effect]:
@@ -128,46 +121,47 @@ def measurement_effects(party: str, setting: int) -> list[Effect]:
     """
     if party not in ("A", "B"):
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    eye = np.eye(2, dtype=complex)
-    if setting == 1:
-        p0 = _record_projector(0)
-    elif setting == 2:
-        p0 = _plus_projector()
-    else:
+    if setting not in _OUTCOME0:
         raise ValueError(f"setting must be 1 or 2, got {setting!r}")
-    return [Effect(p0), Effect(eye - p0)]
+    p0 = _OUTCOME0[setting]
+    p1 = tuple(tuple(int(i == j) - p0[i][j] for j in range(2)) for i in range(2))
+    return [Effect(p0), Effect(p1)]
 
 
 def born_table(state: StateVector, config: ScenarioConfig = HARDY_CONFIG) -> ProbTable:
-    """P(a, b | x, y) = <state| A_x(a) (x) B_y(b) |state>."""
-    if state.dim != 4:
+    """P(a, b | x, y) = tr(rho (A_x(a) (x) B_y(b))), computed exactly."""
+    if len(state.density) != 4:
         raise ValueError("born_table expects the 4-dimensional joint state")
-    psi = state.amplitudes
+    # tr(rho M) = sum of rho[i][j] * M[j][i] over the nonzero entries of rho,
+    # where M = A (x) B has M[j][i] = A[j // 2][i // 2] * B[j % 2][i % 2]
+    rho = [(i, j, r) for i, row in enumerate(state.density) for j, r in enumerate(row) if r]
     probs = {}
     for x in config.x_values:
         effects_a = measurement_effects("A", x)
         for y in config.y_values:
             effects_b = measurement_effects("B", y)
-            total = 0.0
+            total = 0
             for a in config.a_values:
+                ma = effects_a[a].matrix
                 for b in config.b_values:
-                    op = np.kron(effects_a[a].matrix, effects_b[b].matrix)
-                    val = complex(np.vdot(psi, op @ psi))
-                    if abs(val.imag) > _TOL:
-                        raise ValueError(f"imaginary residue {val.imag} at {(a, b, x, y)}")
-                    p = val.real
+                    mb = effects_b[b].matrix
+                    p = sum(r * ma[j // 2][i // 2] * mb[j % 2][i % 2] for i, j, r in rho)
                     probs[(a, b, x, y)] = p
                     total += p
-            if abs(total - 1.0) > 1e-9:
+            if total != 1:
                 raise NormalizationError(
                     f"context (x={x}, y={y}) probabilities sum to {total}, not 1")
     return ProbTable(probs)
 
 
 def hardy_behavior(epsilon: float = 1e-9) -> Behavior:
-    """Possibility pattern of the Hardy model: possible iff P > epsilon."""
+    """Possibility pattern of the Hardy model: a cell is possible iff P != 0.
+
+    `epsilon` is only range-checked: the probabilities are exact, and each
+    nonzero one is at least 1/12, above every accepted threshold.
+    """
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in (0, 1e-3], got {epsilon!r}")
     table = born_table(hardy_state(), HARDY_CONFIG)
-    possible = {cell: p > epsilon for cell, p in table.probs.items()}
+    possible = {cell: p != 0 for cell, p in table.probs.items()}
     return Behavior(HARDY_CONFIG, possible)

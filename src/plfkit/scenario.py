@@ -47,8 +47,12 @@ class ScenarioConfig:
             object.__setattr__(self, name, vals)
             if not vals:
                 raise ValueError(f"{name} must be nonempty")
-            if len(set(vals)) != len(vals):
-                raise ValueError(f"{name} has duplicates")
+            for v in vals:
+                _check_label(name, v)
+            if len({str(v) for v in vals}) != len(vals):
+                raise ValueError(f"{name} has labels that coincide as atom values: {list(vals)!r}")
+        for name in ("read_x", "read_y"):
+            _check_label(name, getattr(self, name))
         if self.friend_a and self.read_x not in self.x_values:
             raise ValueError("read_x must be one of x_values when friend_a is set")
         if self.friend_b and self.read_y not in self.y_values:
@@ -93,10 +97,19 @@ class Behavior:
 
     @staticmethod
     def from_cells(config: ScenarioConfig, true_cells) -> "Behavior":
-        """Behavior whose possible cells are exactly `true_cells`."""
-        true_cells = {tuple(c) for c in true_cells}
-        table = {cell: cell in true_cells for cell in config.cells()}
-        return Behavior(config, table)
+        """Behavior whose possible cells are exactly `true_cells`.
+
+        Raises ValueError on a cell that is not one of `config.cells()`, entry
+        by entry and of the same types (so `True` does not pass for `1`).
+        """
+        domain = {cell: cell for cell in config.cells()}
+        true_cells = [tuple(c) for c in true_cells]
+        outside = [c for c in true_cells
+                   if c not in domain or tuple(map(type, c)) != tuple(map(type, domain[c]))]
+        if outside:
+            raise ValueError(f"possible cells outside the domain: {outside}")
+        true_cells = set(true_cells)
+        return Behavior(config, {cell: cell in true_cells for cell in domain})
 
 
 @dataclass(frozen=True)
@@ -139,6 +152,21 @@ def check_pns(beh: Behavior) -> PnsReport:
 
 def _atom(var: str, val) -> Atom:
     return Atom(var, str(val))
+
+
+def _check_label(name: str, value) -> None:
+    """Raises ValueError unless `value` can label a setting or an outcome.
+
+    Labels enter the modal encoding as atom values `str(value)`; bools are
+    refused because they compare equal to the integers 0 and 1.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name}: {value!r} is a bool, not a label")
+    try:
+        _atom("X", value)
+    except ValueError:
+        raise ValueError(f"{name}: {value!r} is not a label "
+                         "(its text must be letters, digits or '_')") from None
 
 
 def cell_formula(a, b, x, y) -> Formula:
@@ -239,13 +267,19 @@ def behavior_from_json(data) -> Behavior:
     missing = _BEHAVIOR_KEYS - set(data)
     if missing:
         raise ValueError(f"missing keys in behavior file: {sorted(missing)}")
+    for key in ("x_values", "y_values", "a_values", "b_values"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"{key} must be a list of labels")
+    for key in ("friend_a", "friend_b"):
+        if not isinstance(data[key], bool):
+            raise ValueError(f"{key} must be true or false")
     cfg = ScenarioConfig(
         x_values=tuple(data["x_values"]),
         y_values=tuple(data["y_values"]),
         a_values=tuple(data["a_values"]),
         b_values=tuple(data["b_values"]),
-        friend_a=bool(data["friend_a"]),
-        friend_b=bool(data["friend_b"]),
+        friend_a=data["friend_a"],
+        friend_b=data["friend_b"],
         read_x=data["read_x"],
         read_y=data["read_y"],
     )

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from plfkit.cli import main
+from plfkit import plfcheck
+from plfkit.cli import EXIT_INTERNAL, main
 from plfkit.scenario import behavior_from_json, behavior_to_json
 from plfkit.quantum import hardy_behavior
 
@@ -119,6 +125,16 @@ class TestCheck:
         bad.write_text("{\"nope\": 1}")
         assert main(["check", str(bad), "--mode", "plf"]) == 2
 
+    def test_route_disagreement_is_an_internal_error(self, hardy_file, monkeypatch, capsys):
+        real = plfcheck.plf_feasible
+        monkeypatch.setattr(plfcheck, "plf_feasible",
+                            lambda beh: SimpleNamespace(feasible=not real(beh).feasible))
+        assert main(["check", hardy_file]) == EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "disagree" in line and "table: True" in line and "modal: False" in line
+
     def test_stdin_pipeline(self, monkeypatch, capsys):
         assert main(["hardy"]) == 0
         captured = capsys.readouterr()
@@ -202,9 +218,30 @@ class TestBoundaryErrors:
         lambda data: {**data, "a_values": [-1, 1],
                       "possible": [[-1 if a == 0 else a, b, x, y]
                                    for a, b, x, y in data["possible"]]},
-    ], ids=["possible-not-a-list", "outcome-not-an-atom-value"])
+        lambda data: {**data, "possible": data["possible"] + [[7, 7, 7, 7]]},
+        lambda data: {**data, "possible": data["possible"] + [[1, 1, 1]]},
+        lambda data: {**data, "a_values": [False, True]},
+        lambda data: {**data, "a_values": [1, "1"],
+                      "possible": [[1 if a == 0 else "1", b, x, y]
+                                   for a, b, x, y in data["possible"]]},
+        lambda data: {**data, "possible": [[False, True, 1, 1]] + data["possible"]},
+        lambda data: {**data, "friend_a": "false"},
+    ], ids=["possible-not-a-list", "outcome-not-an-atom-value", "cell-outside-domain",
+            "cell-wrong-arity", "bool-outcomes", "outcomes-collide-as-text", "bool-in-cell",
+            "friend-flag-not-bool"])
     def test_bad_behavior_file(self, tmp_path, capsys, edit):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(edit(behavior_to_json(hardy_behavior()))))
         assert main(["check", str(path)]) == 2
         assert_one_line_error(capsys)
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy is a test-only dependency: the CLI must not import it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, plfkit.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

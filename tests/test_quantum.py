@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,43 +64,53 @@ class TestSymbolicOracle:
     def test_full_table_matches_numeric(self):
         table = born_table(hardy_state())
         for (a, b, x, y), p in table.probs.items():
-            assert abs(p - float(symbolic_prob(a, b, x, y))) <= TOL
+            assert isinstance(p, Fraction)
+            assert p == symbolic_prob(a, b, x, y)
 
 
 class TestStateAndEffects:
     def test_hardy_state_normalized(self):
-        amps = hardy_state().amplitudes
-        assert abs(np.vdot(amps, amps).real - 1.0) <= TOL
+        rho = hardy_state().density
+        assert sum(rho[i][i] for i in range(4)) == 1
 
     def test_record11_amplitude_absent(self):
-        assert hardy_state().amplitudes[3] == 0
+        rho = hardy_state().density
+        assert all(rho[3][i] == 0 == rho[i][3] for i in range(4))
 
     def test_overlap_with_equal_superposition_of_first_two(self):
-        other = np.zeros(4, dtype=complex)
-        other[0] = other[1] = 1 / math.sqrt(2)
-        assert abs(np.vdot(other, hardy_state().amplitudes) - math.sqrt(2 / 3)) <= TOL
+        # |<other|psi>|^2 = <other| rho |other> for other = (|00> + |01>)/sqrt(2)
+        rho = hardy_state().density
+        assert sum(rho[i][j] for i in (0, 1) for j in (0, 1)) / 2 == Fraction(2, 3)
 
     def test_bad_norm_rejected(self):
+        # |v><v| for the unnormalised v = |00> + |01>
+        v = (1, 1, 0, 0)
         with pytest.raises(NormalizationError):
-            StateVector(np.array([1.0, 1.0, 0.0, 0.0]))
+            StateVector(tuple(tuple(a * b for b in v) for a in v))
 
     def test_setting1_outcome0_is_record_projector(self):
         eff = measurement_effects("A", 1)[0]
-        assert np.allclose(eff.matrix, [[1, 0], [0, 0]], atol=TOL)
+        assert eff.matrix == ((1, 0), (0, 0))
 
     def test_setting2_outcome0_is_plus_projector(self):
         eff = measurement_effects("A", 2)[0]
-        assert np.allclose(eff.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=TOL)
+        half = Fraction(1, 2)
+        assert eff.matrix == ((half, half), (half, half))
 
     @pytest.mark.parametrize("party", ["A", "B"])
     @pytest.mark.parametrize("setting", [1, 2])
     def test_effects_complete_hermitian_idempotent(self, party, setting):
-        effects = measurement_effects(party, setting)
-        total = sum(e.matrix for e in effects)
-        assert np.allclose(total, np.eye(2), atol=TOL)
-        for e in effects:
-            assert np.abs(e.matrix - e.matrix.conj().T).max() <= TOL
-            assert np.abs(e.matrix @ e.matrix - e.matrix).max() <= TOL
+        effects = [np.array(e.matrix, dtype=object) for e in measurement_effects(party, setting)]
+        assert (sum(effects) == np.eye(2, dtype=int)).all()
+        for m in effects:
+            assert (m == m.T).all()
+            assert (m @ m == m).all()
+
+    @pytest.mark.parametrize("cls", [StateVector, Effect])
+    def test_non_symmetric_rejected(self, cls):
+        # idempotent with trace 1, but not symmetric
+        with pytest.raises(ValueError, match="not symmetric"):
+            cls(((1, 1), (0, 0)))
 
     def test_non_projector_rejected(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(x_values=())
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"a_values": (False, True)}, "bool"),
+        ({"x_values": (1, "1")}, "coincide"),
+        ({"b_values": (0, 0)}, "coincide"),
+        ({"y_values": (-1, 1)}, "not a label"),
+        ({"a_values": (0, 1.5)}, "not a label"),
+        ({"read_x": True}, "bool"),
+    ])
+    def test_labels_must_be_distinct_atom_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**kwargs)
+
+    def test_integer_and_word_labels_accepted(self):
+        cfg = ScenarioConfig(x_values=(0, 999), y_values=("up", "down_2"), read_x=999)
+        assert cfg.x_values == (0, 999)
+
 
 class TestBehavior:
     def test_must_be_total(self):
@@ -63,6 +79,11 @@ class TestBehavior:
     def test_from_cells(self):
         beh = all_true()
         assert Behavior.from_cells(BOTH_FRIENDS, list(beh.possible)) == beh
+
+    @pytest.mark.parametrize("cell", [(7, 7, 7, 7), (1, 1, 1), (True, 0, 1, 1), (1.0, 0, 1, 1)])
+    def test_from_cells_rejects_cells_outside_domain(self, cell):
+        with pytest.raises(ValueError, match="outside the domain"):
+            Behavior.from_cells(BOTH_FRIENDS, list(BOTH_FRIENDS.cells()) + [cell])
 
 
 class TestCheckPns:
