@@ -129,6 +129,8 @@ def cmd_eval(args) -> RunReport:
 
 def cmd_check(args) -> RunReport:
     report = RunReport(command="check")
+    if args.mode == "pns" and args.out:
+        raise _InputError("--out has nothing to write in --mode pns")
     try:
         text, digest = _read_input(args.behavior)
         report.inputs[args.behavior] = digest
@@ -302,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "Wigner's-friend scenarios.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, out_help=None):
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable run report on stdout")
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="write the subcommand's file output to PATH")
+        if out_help:
+            p.add_argument("--out", metavar="PATH", default=None, help=out_help)
 
     p = sub.add_parser("parse", help="parse a formula and dump its AST")
     p.add_argument("formula")
@@ -326,20 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("behavior", nargs="?", default="-",
                    help="behavior JSON file, or - for stdin (default)")
     p.add_argument("--mode", choices=("pns", "plf", "modal"), default="plf")
-    common(p)
+    common(p, "write the witness table or the proof trace to PATH (plf and modal modes)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("hardy", help="build the Hardy-type quantum behavior")
     p.add_argument("--epsilon", type=float, default=1e-9,
                    help="possibility threshold, in (0, 1e-3] (default 1e-9); the "
                         "probabilities are exact, so a cell is possible iff P != 0")
-    common(p)
+    common(p, "write hardy_probs.json and hardy_behavior.json into directory PATH")
     p.set_defaults(func=cmd_hardy)
 
     p = sub.add_parser("prove", help="end-to-end no-go reproduction")
     p.add_argument("--drop", choices=sorted(IMPOSSIBLE_CELLS), default=None,
                    help="run only the named single-assumption relaxation")
-    common(p)
+    common(p, "write the proof text to PATH")
     p.set_defaults(func=cmd_prove)
 
     return parser

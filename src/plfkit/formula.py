@@ -32,8 +32,6 @@ __all__ = [
     "render",
     "conj",
     "disj",
-    "atoms_of",
-    "is_propositional",
 ]
 
 _VARIABLE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -123,37 +121,6 @@ def disj(parts) -> Formula:
     for p in reversed(parts[:-1]):
         out = Or(p, out)
     return out
-
-
-def atoms_of(f: Formula) -> set[Atom]:
-    """All atoms occurring in f."""
-    out: set[Atom] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            out.add(node)
-        elif isinstance(node, (Not, Diamond, Box)):
-            stack.append(node.child)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return out
-
-
-def is_propositional(f: Formula) -> bool:
-    """True iff f contains no modal operator."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Diamond, Box)):
-            return False
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return True
 
 
 # ---------------------------------------------------------------------------

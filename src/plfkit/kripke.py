@@ -26,6 +26,11 @@ family of satisfying world-sets is closed under union, so the unique
 maximal candidate is found by deflation: start from all points passing
 the MustAll/Forbidden filters, and repeatedly delete the antecedent
 points of any Conditional whose consequent has no remaining witness.
+
+Building a Depth1Problem compiles it: one walk over each clause body
+yields the bitmask of the grid points where the body holds, and that walk
+is also the fragment check (no modal operator in a body, no variable
+outside atom_domains).  solve_depth1 only deflates the stored masks.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ from .formula import (
     Implies,
     Not,
     Or,
-    atoms_of,
-    is_propositional,
     parse,
     render,
 )
@@ -114,18 +117,12 @@ class KripkeModel:
             bad = ws - self.worlds
             if bad:
                 raise ValueError(f"valuation of {render(atom)} mentions unknown worlds {sorted(bad)}")
-        # successor and predecessor index, built once for successors() and
-        # the evaluator; worlds without any are absent
-        succ: dict = {}
+        # predecessor index, built once for the evaluator; worlds without
+        # predecessors are absent
         pred: dict = {}
         for (u, v) in self.relation:
-            succ.setdefault(u, []).append(v)
             pred.setdefault(v, []).append(u)
-        object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
-
-    def successors(self, w):
-        return frozenset(self._succ.get(w, ()))
 
 
 def _extension(m: KripkeModel, f: Formula) -> frozenset:
@@ -279,15 +276,20 @@ class ValuationPoint:
     def as_dict(self) -> dict:
         return dict(self.assignment)
 
-    def __getitem__(self, variable):
-        for var, val in self.assignment:
-            if var == variable:
-                return val
-        raise KeyError(variable)
-
 
 @dataclass(frozen=True)
 class Depth1Problem:
+    """A conjunction of depth-1 clauses over finite variable domains.
+
+    Building a problem compiles it: every clause body becomes the bitmask of
+    the grid points (ValuationPoints, in itertools.product order over the
+    sorted variables) where it holds.  That one walk over each body is also
+    the fragment check.  It raises FragmentError on a constraint that is not
+    a clause or a body with a modal operator, and ValueError on an empty
+    domain or a variable missing from atom_domains.  An atom whose variable
+    is known but whose value is outside its domain holds at no point.
+    """
+
     atom_domains: Mapping[str, tuple]
     constraints: tuple
 
@@ -300,19 +302,9 @@ class Depth1Problem:
         for var, vals in self.atom_domains.items():
             if not vals:
                 raise ValueError(f"empty domain for {var}")
-        for c in self.constraints:
-            if isinstance(c, (MustAll, Forbidden, Required)):
-                bodies = (c.body,)
-            elif isinstance(c, Conditional):
-                bodies = (c.antecedent, c.consequent)
-            else:
-                raise FragmentError(f"constraint outside the depth-1 fragment: {c!r}")
-            for body in bodies:
-                if not is_propositional(body):
-                    raise FragmentError(f"modal operator inside clause body: {render(body)}")
-                for atom in atoms_of(body):
-                    if atom.variable not in self.atom_domains:
-                        raise ValueError(f"variable {atom.variable} not in atom_domains")
+        grid, masks = _compile(self.atom_domains, self.constraints)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_masks", masks)
 
 
 @dataclass(frozen=True)
@@ -341,57 +333,66 @@ class Unsat:
 SatResult = Union[Model, Unsat]
 
 
-def _grid(atom_domains) -> list[ValuationPoint]:
+def _compile(atom_domains, constraints) -> tuple[list, tuple]:
+    """The grid of a problem and, per constraint, the grid bitmask of its body
+    (a pair of masks for a Conditional); checks the fragment on the way."""
     variables = sorted(atom_domains)
-    points = []
-    for combo in itertools.product(*(atom_domains[v] for v in variables)):
-        points.append(ValuationPoint(tuple(zip(variables, combo))))
-    return points
+    grid = [ValuationPoint(tuple(zip(variables, combo)))
+            for combo in itertools.product(*(atom_domains[v] for v in variables))]
+    full = (1 << len(grid)) - 1
+    atom_masks: dict = {}
+    for i, point in enumerate(grid):
+        for pair in point.assignment:
+            atom_masks[pair] = atom_masks.get(pair, 0) | (1 << i)
 
+    def sat(f: Formula) -> int:
+        if isinstance(f, Atom):
+            mask = atom_masks.get((f.variable, f.value))
+            if mask is not None:
+                return mask
+            if f.variable not in atom_domains:
+                raise ValueError(f"variable {f.variable} not in atom_domains")
+            return 0
+        if isinstance(f, And):
+            return sat(f.left) & sat(f.right)
+        if isinstance(f, Not):
+            return full & ~sat(f.child)
+        if isinstance(f, Or):
+            return sat(f.left) | sat(f.right)
+        if isinstance(f, Implies):
+            return (full & ~sat(f.left)) | sat(f.right)
+        if isinstance(f, Iff):
+            return full & ~(sat(f.left) ^ sat(f.right))
+        if isinstance(f, (Diamond, Box)):
+            raise FragmentError(f"modal operator inside clause body: {render(f)}")
+        raise TypeError(f"not a propositional formula: {f!r}")
 
-def _sat_mask(f: Formula, atom_masks, full: int) -> int:
-    """Bitmask over grid indices of the points satisfying f."""
-    if isinstance(f, Atom):
-        return atom_masks.get((f.variable, f.value), 0)
-    if isinstance(f, Not):
-        return full & ~_sat_mask(f.child, atom_masks, full)
-    if isinstance(f, And):
-        return _sat_mask(f.left, atom_masks, full) & _sat_mask(f.right, atom_masks, full)
-    if isinstance(f, Or):
-        return _sat_mask(f.left, atom_masks, full) | _sat_mask(f.right, atom_masks, full)
-    if isinstance(f, Implies):
-        return (full & ~_sat_mask(f.left, atom_masks, full)) | _sat_mask(f.right, atom_masks, full)
-    if isinstance(f, Iff):
-        return full & ~(_sat_mask(f.left, atom_masks, full) ^ _sat_mask(f.right, atom_masks, full))
-    raise TypeError(f"not a propositional formula: {f!r}")
+    masks = []
+    for c in constraints:
+        if isinstance(c, (MustAll, Forbidden, Required)):
+            masks.append(sat(c.body))
+        elif isinstance(c, Conditional):
+            masks.append((sat(c.antecedent), sat(c.consequent)))
+        else:
+            raise FragmentError(f"constraint outside the depth-1 fragment: {c!r}")
+    return grid, tuple(masks)
 
 
 def solve_depth1(p: Depth1Problem) -> SatResult:
     """Decide the depth-1 problem exactly via greatest-fixpoint deflation."""
-    grid = _grid(p.atom_domains)
-    full = (1 << len(grid)) - 1
-
-    atom_masks: dict = {}
-    for i, point in enumerate(grid):
-        for var, val in point.assignment:
-            key = (var, val)
-            atom_masks[key] = atom_masks.get(key, 0) | (1 << i)
-
-    must_all = [c for c in p.constraints if isinstance(c, MustAll)]
-    forbidden = [c for c in p.constraints if isinstance(c, Forbidden)]
-    required = [c for c in p.constraints if isinstance(c, Required)]
-    conditionals = [c for c in p.constraints if isinstance(c, Conditional)]
-
-    start = full
-    for c in must_all:
-        start &= _sat_mask(c.body, atom_masks, full)
-    for c in forbidden:
-        start &= ~_sat_mask(c.body, atom_masks, full)
-
-    cond_masks = [
-        (c, _sat_mask(c.antecedent, atom_masks, full), _sat_mask(c.consequent, atom_masks, full))
-        for c in conditionals
-    ]
+    grid = p._grid
+    start = (1 << len(grid)) - 1
+    cond_masks = []
+    req_masks = []
+    for c, mask in zip(p.constraints, p._masks):
+        if isinstance(c, MustAll):
+            start &= mask
+        elif isinstance(c, Forbidden):
+            start &= ~mask
+        elif isinstance(c, Conditional):
+            cond_masks.append((c, *mask))
+        else:
+            req_masks.append((c, mask))
 
     current = start
     removal_log: list[tuple[Conditional, int]] = []
@@ -404,7 +405,6 @@ def solve_depth1(p: Depth1Problem) -> SatResult:
                 current &= ~ant
                 changed = True
 
-    req_masks = [(c, _sat_mask(c.body, atom_masks, full)) for c in required]
     for c, mask in req_masks:
         if not (current & mask):
             never = mask & ~start

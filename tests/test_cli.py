@@ -213,6 +213,24 @@ class TestBoundaryErrors:
         assert main(["prove", "--out", str(out)]) == 2
         assert_one_line_error(capsys)
 
+    def test_check_pns_out_has_nothing_to_write(self, hardy_file, tmp_path, capsys):
+        out = tmp_path / "pns.json"
+        assert main(["check", hardy_file, "--mode", "pns", "--out", str(out)]) == 2
+        assert "--mode pns" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["parse", "eval"])
+    def test_out_not_accepted_where_nothing_is_written(self, sub, model_file, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        argv = {"parse": ["parse", "Q"], "eval": ["eval", model_file, "w0", "Q"]}[sub]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --out" in captured.err.splitlines()[-1]
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda data: {**data, "possible": 5},
         lambda data: {**data, "a_values": [-1, 1],

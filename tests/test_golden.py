@@ -1,0 +1,107 @@
+"""CLI output and the Hardy UnsatCore pinned byte for byte.
+
+The files under tests/golden/ are the outputs of a known-good tree.  A
+change that must not alter what plfkit prints or certifies keeps them
+identical.  To rewrite them after an intended output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden/ like any other code change.
+"""
+
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from plfkit.cli import main
+from plfkit.formula import render
+from plfkit.kripke import Unsat, solve_depth1
+from plfkit.quantum import hardy_behavior
+from plfkit.scenario import encode
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _run(argv, stdin=""):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, err
+    try:
+        code = main(argv)
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _points(points) -> list:
+    return [pt.as_dict() for pt in points]
+
+
+def hardy_core_json() -> str:
+    """The Hardy UnsatCore with every clause rendered and every point listed."""
+    result = solve_depth1(encode(hardy_behavior()))
+    assert isinstance(result, Unsat)
+    core = result.core
+    doc = {
+        "required": render(core.required.body),
+        "never_candidates": _points(core.never_candidates),
+        "removals": [{"antecedent": render(cond.antecedent),
+                      "consequent": render(cond.consequent),
+                      "points": _points(points)}
+                     for cond, points in core.removals],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+PROVE = {
+    "prove.stdout": ["prove"],
+    "prove_json.stdout": ["prove", "--json"],
+    "prove_drop_E4.stdout": ["prove", "--drop", "E4"],
+}
+
+
+def outputs() -> dict:
+    """File name -> text of every golden file, as the current tree makes them."""
+    _, hardy_out, hardy_err = _run(["hardy"])
+    return {
+        **{name: _run(argv)[1] for name, argv in PROVE.items()},
+        "hardy.stdout": hardy_out,
+        "hardy.stderr": hardy_err,
+        "hardy_check.stdout": _run(["check"], stdin=hardy_out)[1],
+        "hardy_unsat_core.json": hardy_core_json(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PROVE))
+def test_prove_stdout(name):
+    code, out, err = _run(PROVE[name])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
+
+
+def test_hardy_stdout_and_stderr():
+    code, out, err = _run(["hardy"])
+    assert code == 0
+    assert out == (GOLDEN / "hardy.stdout").read_text()
+    assert err == (GOLDEN / "hardy.stderr").read_text()
+
+
+def test_check_on_hardy_output():
+    code, out, err = _run(["check"], stdin=(GOLDEN / "hardy.stdout").read_text())
+    assert (code, err) == (1, "")
+    assert out == (GOLDEN / "hardy_check.stdout").read_text()
+
+
+def test_hardy_unsat_core():
+    assert hardy_core_json() == (GOLDEN / "hardy_unsat_core.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, text in outputs().items():
+        (GOLDEN / name).write_text(text)
+        print(f"wrote {GOLDEN / name}")

@@ -17,6 +17,7 @@ from plfkit.kripke import (
     Required,
     Unsat,
     UnknownWorldError,
+    UnsatCore,
     ValuationPoint,
     evaluate,
     model_from_json,
@@ -228,13 +229,37 @@ class TestSolveDepth1:
         assert isinstance(result, Model)
         assert result.points == frozenset()
 
-    def test_fragment_rejects_modal_bodies(self):
+    @pytest.mark.parametrize("clause", [
+        Required(Diamond(Atom("Q"))),
+        MustAll(Box(Atom("Q"))),
+        Forbidden(Diamond(Atom("Q"))),
+        Conditional(And(Atom("Q"), Not(Box(Atom("Q")))), Atom("Q")),
+        Conditional(Atom("Q"), Diamond(Atom("Q"))),
+        Atom("Q"),
+    ], ids=["required", "must-all", "forbidden", "nested-in-antecedent", "consequent",
+            "bare-atom-constraint"])
+    def test_fragment_rejects_modal_bodies(self, clause):
         with pytest.raises(FragmentError):
-            Depth1Problem({"Q": ("true", "false")}, (Required(Diamond(Atom("Q"))),))
+            Depth1Problem({"Q": ("true", "false")}, (clause,))
 
-    def test_unknown_variable_rejected(self):
-        with pytest.raises(ValueError):
-            Depth1Problem({"Q": ("true", "false")}, (Required(Atom("Other")),))
+    @pytest.mark.parametrize("clause", [
+        Required(Atom("Other")),
+        Conditional(Atom("Q"), And(Atom("Q"), Atom("Other"))),
+        MustAll(Implies(Atom("Q"), Atom("Other"))),
+    ], ids=["required", "consequent", "inside-implies"])
+    def test_unknown_variable_rejected(self, clause):
+        with pytest.raises(ValueError, match="Other not in atom_domains"):
+            Depth1Problem({"Q": ("true", "false")}, (clause,))
+
+    def test_empty_domain_rejected(self):
+        with pytest.raises(ValueError, match="empty domain"):
+            Depth1Problem({"Q": ("true", "false"), "E": ()}, (Required(Atom("Q")),))
+
+    def test_value_outside_domain_holds_nowhere(self):
+        maybe = Required(Atom("Q", "maybe"))
+        result = solve_depth1(Depth1Problem({"Q": ("true", "false")}, (maybe,)))
+        assert isinstance(result, Unsat)
+        assert result.core == UnsatCore(required=maybe, never_candidates=(), removals=())
 
 
 def _random_prop(rng, variables, depth=2):

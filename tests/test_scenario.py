@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from plfkit.formula import Atom, atoms_of, conj
+from plfkit.formula import Atom, Box, Diamond, Formula, Not, conj
 from plfkit.kripke import (
     Conditional,
     Depth1Problem,
@@ -25,6 +25,23 @@ from plfkit.scenario import (
 )
 from conftest import random_behavior
 from oracles import eval_prop
+
+
+def atoms_of(f: Formula) -> set[Atom]:
+    """All atoms occurring in f."""
+    out: set[Atom] = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            out.add(node)
+        elif isinstance(node, (Not, Diamond, Box)):
+            stack.append(node.child)
+        else:
+            stack.append(node.left)
+            stack.append(node.right)
+    return out
+
 
 BOTH_FRIENDS = ScenarioConfig(friend_a=True, friend_b=True)
 NO_FRIENDS = ScenarioConfig()
