@@ -12,6 +12,7 @@ and review the diff of tests/golden/ like any other code change.
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from plfkit.quantum import hardy_behavior
 from plfkit.scenario import encode
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
 
 
 def _run(argv, stdin=""):
@@ -63,6 +65,22 @@ PROVE = {
     "prove_drop_E4.stdout": ["prove", "--drop", "E4"],
 }
 
+# golden name -> (argv, behavior file on stdin, exit code).  The inputs pin
+# the order of the PNS violations, a trace with marginal steps from both
+# wings under non-integer labels, and the report digest of stdin.
+CHECK = {
+    "pns_2x2_json.stdout": (["check", "--mode", "pns", "--json"], "pns_2x2.json", 1),
+    "infeasible_3x2_check.stdout": (["check"], "infeasible_3x2.json", 1),
+}
+
+
+def feasible_witness() -> tuple:
+    """(exit code, stdout, the `check --out` witness file) of a feasible 3x2 behavior."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "witness.json"
+        code, stdout, _ = _run(["check", str(INPUTS / "feasible_3x2.json"), "--out", str(out)])
+        return code, stdout, out.read_text()
+
 
 def outputs() -> dict:
     """File name -> text of every golden file, as the current tree makes them."""
@@ -73,6 +91,9 @@ def outputs() -> dict:
         "hardy.stderr": hardy_err,
         "hardy_check.stdout": _run(["check"], stdin=hardy_out)[1],
         "hardy_unsat_core.json": hardy_core_json(),
+        **{name: _run(argv, stdin=(INPUTS / src).read_text())[1]
+           for name, (argv, src, _) in CHECK.items()},
+        "feasible_3x2_witness.json": feasible_witness()[2],
     }
 
 
@@ -94,6 +115,20 @@ def test_check_on_hardy_output():
     code, out, err = _run(["check"], stdin=(GOLDEN / "hardy.stdout").read_text())
     assert (code, err) == (1, "")
     assert out == (GOLDEN / "hardy_check.stdout").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CHECK))
+def test_check_stdout(name):
+    argv, src, exit_code = CHECK[name]
+    code, out, err = _run(argv, stdin=(INPUTS / src).read_text())
+    assert (code, err) == (exit_code, "")
+    assert out == (GOLDEN / name).read_text()
+
+
+def test_check_out_witness():
+    code, out, witness = feasible_witness()
+    assert (code, out) == (0, "possibilistic local friendliness: feasible\n")
+    assert witness == (GOLDEN / "feasible_3x2_witness.json").read_text()
 
 
 def test_hardy_unsat_core():
