@@ -24,7 +24,7 @@ show(state.density)
 print()
 
 print("setting-2 outcome-0 effect (projector onto the + superposition):")
-show(measurement_effects("A", 2)[0].matrix)
+show(measurement_effects(2)[0].matrix)
 print()
 
 table = born_table(state)
@@ -36,7 +36,7 @@ for x in (1, 2):
         print(" ", row.rstrip())
 print()
 
-beh = hardy_behavior()
+beh = hardy_behavior(table=table)
 impossible = sorted(cell for cell, ok in beh.possible.items() if not ok)
 print("impossible superobserver events (P = 0 exactly):", impossible)
 print("the headline cell (1,1|2,2) is possible with P =", table.probs[(1, 1, 2, 2)])

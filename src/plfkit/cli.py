@@ -181,12 +181,14 @@ def cmd_check(args) -> RunReport:
 
 def cmd_hardy(args) -> RunReport:
     report = RunReport(command="hardy")
-    epsilon = args.epsilon
+    if args.epsilon is not None:
+        if not 0.0 < args.epsilon <= 1e-3:
+            raise _InputError(f"epsilon must lie in (0, 1e-3], got {args.epsilon!r}")
+        print("note: --epsilon is deprecated and has no effect: the probabilities are "
+              "exact, so a cell is possible iff P != 0", file=sys.stderr)
     table = quantum.born_table(quantum.hardy_state())
-    try:
-        beh = quantum.hardy_behavior(epsilon)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    beh = quantum.hardy_behavior(table=table)
+
     def fmt(p) -> str:
         return "0" if p == 0 else f"{float(p):.6f}"
 
@@ -197,7 +199,7 @@ def cmd_hardy(args) -> RunReport:
     behavior_json = json.dumps(behavior_to_json(beh), indent=2, sort_keys=True) + "\n"
     report.verdicts = {
         "headline": headline,
-        "epsilon": epsilon,
+        "epsilon": args.epsilon,
         "behavior": behavior_to_json(beh),
         "probabilities": {f"a={a} b={b} x={x} y={y}": float(p)
                           for (a, b, x, y), p in sorted(table.probs.items())},
@@ -332,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("hardy", help="build the Hardy-type quantum behavior")
-    p.add_argument("--epsilon", type=float, default=1e-9,
-                   help="possibility threshold, in (0, 1e-3] (default 1e-9); the "
-                        "probabilities are exact, so a cell is possible iff P != 0")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="deprecated and ignored: the probabilities are exact, so a cell "
+                        "is possible iff P != 0; still range-checked in (0, 1e-3]")
     common(p, "write hardy_probs.json and hardy_behavior.json into directory PATH")
     p.set_defaults(func=cmd_hardy)
 

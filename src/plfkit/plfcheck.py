@@ -42,8 +42,7 @@ class ConfigMismatch(ValueError):
 
 def cd_values(cfg: ScenarioConfig):
     """All (c, d) slice labels; None stands for an absent friend."""
-    cs = cfg.a_values if cfg.friend_a else (None,)
-    ds = cfg.b_values if cfg.friend_b else (None,)
+    cs, ds = (wing.outcomes if wing.friend else (None,) for wing in cfg.wings)
     return [(c, d) for c in cs for d in ds]
 
 
@@ -121,12 +120,8 @@ class Verdict:
 
 
 def _cd_label(cfg: ScenarioConfig, c, d) -> str:
-    parts = []
-    if cfg.friend_a:
-        parts.append(f"C={c}")
-    if cfg.friend_b:
-        parts.append(f"D={d}")
-    return ", ".join(parts) if parts else "no friends"
+    return ", ".join(f"{wing.record}={record}" for wing, record in zip(cfg.wings, (c, d))
+                     if wing.friend) or "no friends"
 
 
 def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
@@ -138,79 +133,50 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
     union of them all.
     """
     cfg = beh.config
-    if cfg.friend_a != (c is not None):
-        raise ValueError("c must be given exactly when friend_a is set")
-    if cfg.friend_b != (d is not None):
-        raise ValueError("d must be given exactly when friend_b is set")
-    if cfg.friend_a and c not in cfg.a_values:
-        raise ValueError(f"c={c!r} not in a_values")
-    if cfg.friend_b and d not in cfg.b_values:
-        raise ValueError(f"d={d!r} not in b_values")
-
     cells = dict(beh.possible)
     steps: list[RemovalStep] = []
 
-    if cfg.friend_a:
+    for wing, record in zip(cfg.wings, (c, d)):
+        if record not in (wing.outcomes if wing.friend else (None,)):
+            r, o = wing.record.lower(), wing.outcome.lower()
+            raise ValueError(f"{r}={record!r}: expected one of {o}_values when friend_{o} "
+                             "is set, else None")
+        if not wing.friend:
+            continue
+        i, read = wing.index, wing.read
         killed = tuple(cell for cell in cfg.cells()
-                       if cell[2] == cfg.read_x and cell[0] != c and cells[cell])
+                       if cell[i + 2] == read and cell[i] != record and cells[cell])
         if killed:
             for cell in killed:
                 cells[cell] = False
             steps.append(RemovalStep(
                 "reading", killed,
-                f"at X={cfg.read_x} Alice reads C={c}, so A={c} is forced",
-            ))
-    if cfg.friend_b:
-        killed = tuple(cell for cell in cfg.cells()
-                       if cell[3] == cfg.read_y and cell[1] != d and cells[cell])
-        if killed:
-            for cell in killed:
-                cells[cell] = False
-            steps.append(RemovalStep(
-                "reading", killed,
-                f"at Y={cfg.read_y} Bob reads D={d}, so B={d} is forced",
+                f"at {wing.setting}={read} {wing.name} reads {wing.record}={record}, "
+                f"so {wing.outcome}={record} is forced",
             ))
 
     label = _cd_label(cfg, c, d)
+    alice, bob = cfg.wings
     changed = True
     while changed:
         changed = False
-        # Alice-wing marginals: OR over a must not depend on x for fixed (b, y)
-        for b in cfg.b_values:
-            for y in cfg.y_values:
-                marg = {x: any(cells[(a, b, x, y)] for a in cfg.a_values)
-                        for x in cfg.x_values}
+        # an event's possibility must not depend on the other party's setting;
+        # Bob's events go first, which fixes the order of the trace
+        for wing, other in ((bob, alice), (alice, bob)):
+            for (outcome, setting), columns in wing.events.items():
+                marg = {s: any(cells[cell] for cell in col) for s, col in columns.items()}
                 if any(marg.values()) and not all(marg.values()):
-                    dead_x = next(x for x in cfg.x_values if not marg[x])
-                    for x in cfg.x_values:
-                        if marg[x]:
-                            killed = tuple((a, b, x, y) for a in cfg.a_values
-                                           if cells[(a, b, x, y)])
+                    dead = next(s for s, m in marg.items() if not m)
+                    for s, col in columns.items():
+                        if marg[s]:
+                            killed = tuple(cell for cell in col if cells[cell])
                             for cell in killed:
                                 cells[cell] = False
                             steps.append(RemovalStep(
                                 "marginal", killed,
-                                f"(B={b}, Y={y}, {label}) is impossible at X={dead_x} "
-                                f"but was possible at X={x}",
-                            ))
-                            changed = True
-        # Bob-wing marginals: OR over b must not depend on y for fixed (a, x)
-        for a in cfg.a_values:
-            for x in cfg.x_values:
-                marg = {y: any(cells[(a, b, x, y)] for b in cfg.b_values)
-                        for y in cfg.y_values}
-                if any(marg.values()) and not all(marg.values()):
-                    dead_y = next(y for y in cfg.y_values if not marg[y])
-                    for y in cfg.y_values:
-                        if marg[y]:
-                            killed = tuple((a, b, x, y) for b in cfg.b_values
-                                           if cells[(a, b, x, y)])
-                            for cell in killed:
-                                cells[cell] = False
-                            steps.append(RemovalStep(
-                                "marginal", killed,
-                                f"(A={a}, X={x}, {label}) is impossible at Y={dead_y} "
-                                f"but was possible at Y={y}",
+                                f"({wing.outcome}={outcome}, {wing.setting}={setting}, {label}) "
+                                f"is impossible at {other.setting}={dead} "
+                                f"but was possible at {other.setting}={s}",
                             ))
                             changed = True
 
@@ -225,10 +191,8 @@ def plf_feasible(beh: Behavior) -> Verdict:
     uncovered = [cell for cell in cfg.cells()
                  if beh.possible[cell] and not any(s.cells[cell] for s in slices.values())]
     if not uncovered:
-        entries = {}
-        for (c, d), sl in slices.items():
-            for (a, b, x, y), v in sl.cells.items():
-                entries[(a, b, c, d, x, y)] = v
+        entries = {(a, b, c, d, x, y): v
+                   for (c, d), sl in slices.items() for (a, b, x, y), v in sl.cells.items()}
         return Verdict(True, ExtendedTable(cfg, entries), None)
 
     target = uncovered[0]
@@ -268,39 +232,19 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
         raise ConfigMismatch("extended table and behavior configs differ")
 
     cds = cd_values(cfg)
-    keys = [(a, b, c, d, x, y)
-            for a in cfg.a_values for b in cfg.b_values
-            for (c, d) in cds
-            for x in cfg.x_values for y in cfg.y_values]
-    if set(t.entries) != set(keys):
+    if set(t.entries) != {(a, b, c, d, x, y) for a, b, x, y in cfg.cells() for c, d in cds}:
         return False
-
-    for (a, b, c, d, x, y), v in t.entries.items():
-        if not v:
-            continue
-        if cfg.friend_a and x == cfg.read_x and a != c:
-            return False
-        if cfg.friend_b and y == cfg.read_y and b != d:
-            return False
 
     for (c, d) in cds:
-        for b in cfg.b_values:
-            for y in cfg.y_values:
-                margs = {any(t.entries[(a, b, c, d, x, y)] for a in cfg.a_values)
-                         for x in cfg.x_values}
-                if len(margs) > 1:
-                    return False
-        for a in cfg.a_values:
-            for x in cfg.x_values:
-                margs = {any(t.entries[(a, b, c, d, x, y)] for b in cfg.b_values)
-                         for y in cfg.y_values}
-                if len(margs) > 1:
+        for wing, record in zip(cfg.wings, (c, d)):
+            for (outcome, setting), columns in wing.events.items():
+                margs = {any(t.entries[(a, b, c, d, x, y)] for a, b, x, y in col)
+                         for col in columns.values()}
+                # one value in every column; at the read setting only the record's
+                # outcome may be possible
+                if len(margs) > 1 or (True in margs and wing.friend
+                                      and setting == wing.read and outcome != record):
                     return False
 
-    if t.marginal() != beh.possible:
-        return False
-    for (x, y) in cfg.contexts():
-        if not any(t.entries[(a, b, c, d, x, y)]
-                   for a in cfg.a_values for b in cfg.b_values for (c, d) in cds):
-            return False
-    return True
+    # a Behavior has a possible cell in every context, so coverage gives the table one too
+    return t.marginal() == beh.possible

@@ -111,16 +111,13 @@ def hardy_state() -> StateVector:
 _OUTCOME0 = {1: ((1, 0), (0, 0)), 2: ((Fraction(1, 2),) * 2,) * 2}
 
 
-def measurement_effects(party: str, setting: int) -> list[Effect]:
-    """Two-outcome projective measurement on one lab qubit.
+def measurement_effects(setting: int) -> list[Effect]:
+    """Two-outcome projective measurement on one lab qubit, Alice's and Bob's alike.
 
     Setting 1 projects onto the friend's record basis (outcome 0 is the
     record-0 state, matching the reading protocol); setting 2 measures in
-    the superposition basis.  Alice's and Bob's effects are identical
-    matrices; the party argument is kept for interface symmetry.
+    the superposition basis.
     """
-    if party not in ("A", "B"):
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     if setting not in _OUTCOME0:
         raise ValueError(f"setting must be 1 or 2, got {setting!r}")
     p0 = _OUTCOME0[setting]
@@ -128,23 +125,20 @@ def measurement_effects(party: str, setting: int) -> list[Effect]:
     return [Effect(p0), Effect(p1)]
 
 
-def born_table(state: StateVector, config: ScenarioConfig = HARDY_CONFIG) -> ProbTable:
-    """P(a, b | x, y) = tr(rho (A_x(a) (x) B_y(b))), computed exactly."""
+def born_table(state: StateVector) -> ProbTable:
+    """P(a, b | x, y) = tr(rho (A_x(a) (x) B_y(b))) over HARDY_CONFIG, computed exactly."""
     if len(state.density) != 4:
         raise ValueError("born_table expects the 4-dimensional joint state")
     # tr(rho M) = sum of rho[i][j] * M[j][i] over the nonzero entries of rho,
     # where M = A (x) B has M[j][i] = A[j // 2][i // 2] * B[j % 2][i % 2]
     rho = [(i, j, r) for i, row in enumerate(state.density) for j, r in enumerate(row) if r]
+    effects = {s: [e.matrix for e in measurement_effects(s)] for s in _OUTCOME0}
     probs = {}
-    for x in config.x_values:
-        effects_a = measurement_effects("A", x)
-        for y in config.y_values:
-            effects_b = measurement_effects("B", y)
+    for x, effects_a in effects.items():
+        for y, effects_b in effects.items():
             total = 0
-            for a in config.a_values:
-                ma = effects_a[a].matrix
-                for b in config.b_values:
-                    mb = effects_b[b].matrix
+            for a, ma in enumerate(effects_a):
+                for b, mb in enumerate(effects_b):
                     p = sum(r * ma[j // 2][i // 2] * mb[j % 2][i % 2] for i, j, r in rho)
                     probs[(a, b, x, y)] = p
                     total += p
@@ -154,14 +148,11 @@ def born_table(state: StateVector, config: ScenarioConfig = HARDY_CONFIG) -> Pro
     return ProbTable(probs)
 
 
-def hardy_behavior(epsilon: float = 1e-9) -> Behavior:
+def hardy_behavior(*, table: ProbTable | None = None) -> Behavior:
     """Possibility pattern of the Hardy model: a cell is possible iff P != 0.
 
-    `epsilon` is only range-checked: the probabilities are exact, and each
-    nonzero one is at least 1/12, above every accepted threshold.
+    `table` is the model's Born table; it is computed when not given.
     """
-    if not 0.0 < epsilon <= 1e-3:
-        raise ValueError(f"epsilon must lie in (0, 1e-3], got {epsilon!r}")
-    table = born_table(hardy_state(), HARDY_CONFIG)
-    possible = {cell: p != 0 for cell, p in table.probs.items()}
-    return Behavior(HARDY_CONFIG, possible)
+    if table is None:
+        table = born_table(hardy_state())
+    return Behavior(HARDY_CONFIG, {cell: p != 0 for cell, p in table.probs.items()})

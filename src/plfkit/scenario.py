@@ -12,13 +12,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, NamedTuple
 
 from .formula import Atom, Formula, Implies, conj, disj
 from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required
 
 __all__ = [
     "ScenarioConfig",
+    "Wing",
     "Behavior",
     "PnsReport",
     "check_pns",
@@ -28,6 +30,25 @@ __all__ = [
     "behavior_from_json",
     "behavior_to_json",
 ]
+
+
+class Wing(NamedTuple):
+    """One party's labels and its marginal-event table.
+
+    `events` maps each event (outcome, own setting) to one column of cells
+    per setting of the other party: Alice's event (a, x) has the cells
+    (a, b, x, y) over b for each y, and is possible at y iff one of them is.
+    """
+
+    index: int  # the outcome's position in a cell (a, b, x, y); the setting's is index + 2
+    name: str  # "Alice", then the names of her outcome, setting and friend's record
+    outcome: str
+    setting: str
+    record: str
+    friend: bool
+    read: object  # the setting at which the friend's record is read
+    outcomes: tuple  # the outcome labels, which are also the record labels
+    events: dict
 
 
 @dataclass(frozen=True)
@@ -70,6 +91,18 @@ class ScenarioConfig:
 
     def contexts(self):
         return [(x, y) for x in self.x_values for y in self.y_values]
+
+    @cached_property
+    def wings(self) -> tuple:
+        """(Alice's `Wing`, Bob's `Wing`), built once per config."""
+        return (
+            Wing(0, "Alice", "A", "X", "C", self.friend_a, self.read_x, self.a_values,
+                 {(a, x): {y: [(a, b, x, y) for b in self.b_values] for y in self.y_values}
+                  for a in self.a_values for x in self.x_values}),
+            Wing(1, "Bob", "B", "Y", "D", self.friend_b, self.read_y, self.b_values,
+                 {(b, y): {x: [(a, b, x, y) for a in self.a_values] for x in self.x_values}
+                  for b in self.b_values for y in self.y_values}),
+        )
 
 
 @dataclass(frozen=True)
@@ -125,23 +158,20 @@ class PnsReport:
 
 
 def check_pns(beh: Behavior) -> PnsReport:
-    """Each party's marginal possibilities must not depend on the other's setting."""
-    cfg = beh.config
+    """Each party's marginal possibilities must not depend on the other's setting.
+
+    A violation (party, outcome, (x, y), (x', y')) names two contexts that
+    disagree on whether one of the party's events is possible.
+    """
     violations = []
-    for a in cfg.a_values:
-        for x in cfg.x_values:
-            marg = {y: any(beh.possible[(a, b, x, y)] for b in cfg.b_values)
-                    for y in cfg.y_values}
-            for y1, y2 in itertools.combinations(cfg.y_values, 2):
-                if marg[y1] != marg[y2]:
-                    violations.append(("A", a, (x, y1), (x, y2)))
-    for b in cfg.b_values:
-        for y in cfg.y_values:
-            marg = {x: any(beh.possible[(a, b, x, y)] for a in cfg.a_values)
-                    for x in cfg.x_values}
-            for x1, x2 in itertools.combinations(cfg.x_values, 2):
-                if marg[x1] != marg[x2]:
-                    violations.append(("B", b, (x1, y), (x2, y)))
+    for wing in beh.config.wings:
+        for (outcome, _), columns in wing.events.items():
+            # the cells of one column share their context (x, y)
+            possible = [(col[0][2:], any(beh.possible[cell] for cell in col))
+                        for col in columns.values()]
+            for (ctx1, p1), (ctx2, p2) in itertools.combinations(possible, 2):
+                if p1 != p2:
+                    violations.append((wing.outcome, outcome, ctx1, ctx2))
     return PnsReport(holds=not violations, violations=tuple(violations))
 
 

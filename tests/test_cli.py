@@ -120,6 +120,18 @@ class TestCheck:
     def test_modal_mode(self, hardy_file):
         assert main(["check", hardy_file, "--mode", "modal"]) == 1
 
+    def test_null_record_label_gets_a_verdict(self, tmp_path, capsys):
+        # null is an accepted outcome label, so a friend's record may take it too
+        data = behavior_to_json(hardy_behavior())
+        data["a_values"] = [None, 1]
+        data["possible"] = [[None if a == 0 else a, b, x, y] for a, b, x, y in data["possible"]]
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("possibilistic local friendliness: infeasible\n")
+        assert "C=None" in captured.out and captured.err == ""
+
     def test_malformed_behavior_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nope\": 1}")
@@ -165,6 +177,16 @@ class TestHardy:
                (out2 / "hardy_behavior.json").read_bytes()
         assert (out1 / "hardy_probs.json").read_bytes() == \
                (out2 / "hardy_probs.json").read_bytes()
+
+    def test_epsilon_is_deprecated(self, capsys):
+        assert main(["hardy"]) == 0
+        plain = capsys.readouterr()
+        assert main(["hardy", "--epsilon", "1e-6"]) == 0
+        given = capsys.readouterr()
+        assert given.out == plain.out
+        note, *rest = given.err.splitlines()
+        assert note.startswith("note: --epsilon is deprecated")
+        assert rest == plain.err.splitlines()
 
     def test_json_report(self, capsys):
         assert main(["hardy", "--json"]) == 0

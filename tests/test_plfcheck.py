@@ -167,9 +167,16 @@ class TestValidateExtendedTable:
     def test_reading_violation_detected(self):
         beh = all_true()
         witness = plf_feasible(beh).witness
-        entries = dict(witness.entries)
-        entries[(1, 0, 0, 0, 1, 2)] = True  # a != c at the reading setting
-        assert not validate_extended_table(ExtendedTable(beh.config, entries), beh)
+        # a != c (or b != d) at the reading setting in slice (0, 0): one cell, which
+        # also unbalances a marginal, then a whole event of Alice's and of Bob's,
+        # which keeps every marginal balanced
+        for added in ([(1, 0, 1, 2)],
+                      [(1, 0, 1, 1), (1, 0, 1, 2), (1, 1, 1, 2)],
+                      [(0, 1, 1, 1), (0, 1, 2, 1), (1, 1, 2, 1)]):
+            entries = dict(witness.entries)
+            for a, b, x, y in added:
+                entries[(a, b, 0, 0, x, y)] = True
+            assert not validate_extended_table(ExtendedTable(beh.config, entries), beh)
 
     def test_lost_coverage_detected(self):
         beh = all_true()

@@ -89,19 +89,22 @@ class TestStateAndEffects:
             StateVector(tuple(tuple(a * b for b in v) for a in v))
 
     def test_setting1_outcome0_is_record_projector(self):
-        eff = measurement_effects("A", 1)[0]
+        eff = measurement_effects(1)[0]
         assert eff.matrix == ((1, 0), (0, 0))
 
     def test_setting2_outcome0_is_plus_projector(self):
-        eff = measurement_effects("A", 2)[0]
+        eff = measurement_effects(2)[0]
         half = Fraction(1, 2)
         assert eff.matrix == ((half, half), (half, half))
 
     @pytest.mark.parametrize("party", ["A", "B"])
     @pytest.mark.parametrize("setting", [1, 2])
     def test_effects_complete_hermitian_idempotent(self, party, setting):
-        effects = [np.array(e.matrix, dtype=object) for e in measurement_effects(party, setting)]
-        assert (sum(effects) == np.eye(2, dtype=int)).all()
+        # each effect acts on the party's factor of the Alice-lab-major joint space
+        eye = np.eye(2, dtype=int)
+        effects = [np.kron(m, eye) if party == "A" else np.kron(eye, m)
+                   for m in (np.array(e.matrix, dtype=object) for e in measurement_effects(setting))]
+        assert (sum(effects) == np.eye(4, dtype=int)).all()
         for m in effects:
             assert (m == m.T).all()
             assert (m @ m == m).all()
@@ -118,9 +121,7 @@ class TestStateAndEffects:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            measurement_effects("C", 1)
-        with pytest.raises(ValueError):
-            measurement_effects("A", 3)
+            measurement_effects(3)
 
 
 class TestBornTable:
@@ -158,16 +159,8 @@ class TestHardyBehavior:
     def test_pns_holds(self):
         assert check_pns(hardy_behavior()).holds
 
-    def test_epsilon_stability(self):
-        reference = hardy_behavior(1e-9)
-        for eps in (1e-12, 1e-10, 1e-6, 1e-3):
-            assert hardy_behavior(eps) == reference
-
-    def test_epsilon_domain(self):
-        with pytest.raises(ValueError):
-            hardy_behavior(0.0)
-        with pytest.raises(ValueError):
-            hardy_behavior(0.1)
+    def test_given_table_gives_the_same_behavior(self):
+        assert hardy_behavior(table=born_table(hardy_state())) == hardy_behavior()
 
 
 class TestFriendLabEquivalence:
