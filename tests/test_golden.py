@@ -19,9 +19,9 @@ import pytest
 
 from plfkit.cli import main
 from plfkit.formula import render
-from plfkit.kripke import Unsat, solve_depth1
+from plfkit.kripke import Unsat, clause_formula, solve_depth1
 from plfkit.quantum import hardy_behavior
-from plfkit.scenario import encode
+from plfkit.scenario import ScenarioConfig, behavior_from_json, behavior_to_json, encode
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -82,6 +82,24 @@ def feasible_witness() -> tuple:
         return code, stdout, out.read_text()
 
 
+# golden name -> behavior file whose modal encoding it pins; None is Hardy
+ENCODE = {
+    "encode_hardy.txt": None,
+    "encode_pns_2x2.txt": "pns_2x2.json",
+    "encode_infeasible_3x2.txt": "infeasible_3x2.json",
+    "encode_feasible_3x2.txt": "feasible_3x2.json",
+}
+
+
+def encode_text(src) -> str:
+    """`atom_domains` in insertion order, then every clause's formula, in order."""
+    beh = hardy_behavior() if src is None else behavior_from_json((INPUTS / src).read_text())
+    problem = encode(beh)
+    lines = [json.dumps(problem.atom_domains)]
+    lines += [render(clause_formula(c)) for c in problem.constraints]
+    return "\n".join(lines) + "\n"
+
+
 def outputs() -> dict:
     """File name -> text of every golden file, as the current tree makes them."""
     _, hardy_out, hardy_err = _run(["hardy"])
@@ -94,6 +112,7 @@ def outputs() -> dict:
         **{name: _run(argv, stdin=(INPUTS / src).read_text())[1]
            for name, (argv, src, _) in CHECK.items()},
         "feasible_3x2_witness.json": feasible_witness()[2],
+        **{name: encode_text(src) for name, src in ENCODE.items()},
     }
 
 
@@ -133,6 +152,18 @@ def test_check_out_witness():
 
 def test_hardy_unsat_core():
     assert hardy_core_json() == (GOLDEN / "hardy_unsat_core.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(ENCODE))
+def test_encode(name):
+    assert encode_text(ENCODE[name]) == (GOLDEN / name).read_text()
+
+
+def test_behavior_json_key_order():
+    fields = ["x_values", "y_values", "a_values", "b_values",
+              "friend_a", "friend_b", "read_x", "read_y"]
+    assert list(ScenarioConfig.__dataclass_fields__) == fields
+    assert list(behavior_to_json(hardy_behavior())) == fields + ["possible"]
 
 
 if __name__ == "__main__":
