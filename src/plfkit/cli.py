@@ -53,16 +53,14 @@ class RunReport:
             indent=2, sort_keys=True)
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _read_input(path: str) -> tuple[str, str]:
-    """Returns (text, digest); path '-' means stdin."""
+    """Returns (text, digest) of one read, so a pipe is hashed as it was
+    read; path '-' means stdin."""
     if path == "-":
         text = sys.stdin.read()
         return text, hashlib.sha256(text.encode()).hexdigest()
-    return Path(path).read_text(), _digest(path)
+    data = Path(path).read_bytes()
+    return data.decode(), hashlib.sha256(data).hexdigest()
 
 
 class _InputError(Exception):

@@ -283,8 +283,9 @@ class Depth1Problem:
 
     Building a problem compiles it: every clause body becomes the bitmask of
     the grid points (ValuationPoints, in itertools.product order over the
-    sorted variables) where it holds.  That one walk over each body is also
-    the fragment check.  It raises FragmentError on a constraint that is not
+    sorted variables) where it holds, and the MustAll and Forbidden masks
+    fold into one start mask.  That one walk over each body is also the
+    fragment check.  It raises FragmentError on a constraint that is not
     a clause or a body with a modal operator, and ValueError on an empty
     domain or a variable missing from atom_domains.  An atom whose variable
     is known but whose value is outside its domain holds at no point.
@@ -302,9 +303,11 @@ class Depth1Problem:
         for var, vals in self.atom_domains.items():
             if not vals:
                 raise ValueError(f"empty domain for {var}")
-        grid, masks = _compile(self.atom_domains, self.constraints)
+        grid, start, conds, reqs = _compile(self.atom_domains, self.constraints)
         object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_conds", conds)
+        object.__setattr__(self, "_reqs", reqs)
 
 
 @dataclass(frozen=True)
@@ -333,9 +336,11 @@ class Unsat:
 SatResult = Union[Model, Unsat]
 
 
-def _compile(atom_domains, constraints) -> tuple[list, tuple]:
-    """The grid of a problem and, per constraint, the grid bitmask of its body
-    (a pair of masks for a Conditional); checks the fragment on the way."""
+def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
+    """The grid of a problem, the mask of the points passing every MustAll
+    and Forbidden, and the (Conditional, antecedent mask, consequent mask)
+    and (Required, mask) lists in constraint order; checks the fragment on
+    the way."""
     variables = sorted(atom_domains)
     grid = [ValuationPoint(tuple(zip(variables, combo)))
             for combo in itertools.product(*(atom_domains[v] for v in variables))]
@@ -367,45 +372,37 @@ def _compile(atom_domains, constraints) -> tuple[list, tuple]:
             raise FragmentError(f"modal operator inside clause body: {render(f)}")
         raise TypeError(f"not a propositional formula: {f!r}")
 
-    masks = []
+    start = full
+    conds, reqs = [], []
     for c in constraints:
-        if isinstance(c, (MustAll, Forbidden, Required)):
-            masks.append(sat(c.body))
+        if isinstance(c, MustAll):
+            start &= sat(c.body)
+        elif isinstance(c, Forbidden):
+            start &= ~sat(c.body)
+        elif isinstance(c, Required):
+            reqs.append((c, sat(c.body)))
         elif isinstance(c, Conditional):
-            masks.append((sat(c.antecedent), sat(c.consequent)))
+            conds.append((c, sat(c.antecedent), sat(c.consequent)))
         else:
             raise FragmentError(f"constraint outside the depth-1 fragment: {c!r}")
-    return grid, tuple(masks)
+    return grid, start, tuple(conds), tuple(reqs)
 
 
 def solve_depth1(p: Depth1Problem) -> SatResult:
     """Decide the depth-1 problem exactly via greatest-fixpoint deflation."""
-    grid = p._grid
-    start = (1 << len(grid)) - 1
-    cond_masks = []
-    req_masks = []
-    for c, mask in zip(p.constraints, p._masks):
-        if isinstance(c, MustAll):
-            start &= mask
-        elif isinstance(c, Forbidden):
-            start &= ~mask
-        elif isinstance(c, Conditional):
-            cond_masks.append((c, *mask))
-        else:
-            req_masks.append((c, mask))
-
+    grid, start = p._grid, p._start
     current = start
     removal_log: list[tuple[Conditional, int]] = []
     changed = True
     while changed:
         changed = False
-        for c, ant, cons in cond_masks:
+        for c, ant, cons in p._conds:
             if (current & ant) and not (current & cons):
                 removal_log.append((c, current & ant))
                 current &= ~ant
                 changed = True
 
-    for c, mask in req_masks:
+    for c, mask in p._reqs:
         if not (current & mask):
             never = mask & ~start
             removals = []

@@ -137,7 +137,8 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
     steps: list[RemovalStep] = []
 
     for wing, record in zip(cfg.wings, (c, d)):
-        if record not in (wing.outcomes if wing.friend else (None,)):
+        # a bool would pass as 0 or 1, which labels never are
+        if isinstance(record, bool) or record not in (wing.outcomes if wing.friend else (None,)):
             r, o = wing.record.lower(), wing.outcome.lower()
             raise ValueError(f"{r}={record!r}: expected one of {o}_values when friend_{o} "
                              "is set, else None")

@@ -118,7 +118,7 @@ def measurement_effects(setting: int) -> list[Effect]:
     record-0 state, matching the reading protocol); setting 2 measures in
     the superposition basis.
     """
-    if setting not in _OUTCOME0:
+    if isinstance(setting, bool) or setting not in _OUTCOME0:
         raise ValueError(f"setting must be 1 or 2, got {setting!r}")
     p0 = _OUTCOME0[setting]
     p1 = tuple(tuple(int(i == j) - p0[i][j] for j in range(2)) for i in range(2))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -48,6 +48,7 @@ class Wing(NamedTuple):
     friend: bool
     read: object  # the setting at which the friend's record is read
     outcomes: tuple  # the outcome labels, which are also the record labels
+    settings: tuple  # the party's setting labels
     events: dict
 
 
@@ -97,9 +98,11 @@ class ScenarioConfig:
         """(Alice's `Wing`, Bob's `Wing`), built once per config."""
         return (
             Wing(0, "Alice", "A", "X", "C", self.friend_a, self.read_x, self.a_values,
+                 self.x_values,
                  {(a, x): {y: [(a, b, x, y) for b in self.b_values] for y in self.y_values}
                   for a in self.a_values for x in self.x_values}),
             Wing(1, "Bob", "B", "Y", "D", self.friend_b, self.read_y, self.b_values,
+                 self.y_values,
                  {(b, y): {x: [(a, b, x, y) for a in self.a_values] for x in self.x_values}
                   for b in self.b_values for y in self.y_values}),
         )
@@ -209,56 +212,45 @@ def encode(beh: Behavior) -> Depth1Problem:
 
     Emits, at the reference world:
       - Required / Forbidden for each possible / impossible behavior cell;
-      - Conditional clauses: any possible assignment to the variables outside
-        an intervention's future light cone stays possible in conjunction with
-        any value of that intervention (X cannot reach B, C, D, Y; Y cannot
-        reach A, C, D, X).  Only finest assignments, which fix every such
-        variable, are emitted: the clauses for partial assignments follow
-        from them (docs/feasibility.md);
       - MustAll reading clauses: at the reading setting a superobserver's
-        outcome copies the friend's record.
+        outcome copies the friend's record;
+      - Conditional clauses: any possible assignment to the variables outside
+        a setting's future light cone stays possible in conjunction with any
+        value of that setting.  The cone holds only the party's own outcome,
+        so a wing's pool is every variable but its outcome and its setting
+        (B, C, D, Y for X with both friends).  Only finest assignments, which
+        fix every pool variable, are emitted: the clauses for partial
+        assignments follow from them (docs/feasibility.md).
 
     Exactly-one-value per variable is structural: every world of the search
     space is a total valuation point.
     """
     cfg = beh.config
-    domains: dict[str, tuple] = {
-        "A": tuple(str(v) for v in cfg.a_values),
-        "B": tuple(str(v) for v in cfg.b_values),
-        "X": tuple(str(v) for v in cfg.x_values),
-        "Y": tuple(str(v) for v in cfg.y_values),
-    }
-    if cfg.friend_a:
-        domains["C"] = tuple(str(v) for v in cfg.a_values)
-    if cfg.friend_b:
-        domains["D"] = tuple(str(v) for v in cfg.b_values)
+    # outcomes, settings, then records: the order of atom_domains (A, B, X, Y, C, D)
+    labels = {w.outcome: w.outcomes for w in cfg.wings}
+    labels |= {w.setting: w.settings for w in cfg.wings}
+    labels |= {w.record: w.outcomes for w in cfg.wings if w.friend}
+    atom = {(var, v): _atom(var, v) for var, vals in labels.items() for v in vals}
+    domains = {var: tuple(str(v) for v in vals) for var, vals in labels.items()}
 
     constraints: list = []
     for cell in cfg.cells():
-        body = cell_formula(*cell)
+        body = conj([atom[var, v] for var, v in zip("ABXY", cell)])
         constraints.append(Required(body) if beh.possible[cell] else Forbidden(body))
 
-    if cfg.friend_a:
-        constraints.append(MustAll(Implies(
-            _atom("X", cfg.read_x),
-            disj([conj([_atom("A", v), _atom("C", v)]) for v in cfg.a_values]),
-        )))
-    if cfg.friend_b:
-        constraints.append(MustAll(Implies(
-            _atom("Y", cfg.read_y),
-            disj([conj([_atom("B", v), _atom("D", v)]) for v in cfg.b_values]),
-        )))
+    for w in cfg.wings:
+        if w.friend:
+            constraints.append(MustAll(Implies(
+                atom[w.setting, w.read],
+                disj([conj([atom[w.outcome, v], atom[w.record, v]]) for v in w.outcomes]),
+            )))
 
-    eligible = {
-        "X": [v for v in ("B", "C", "D", "Y") if v in domains],
-        "Y": [v for v in ("A", "C", "D", "X") if v in domains],
-    }
-    for z in ("X", "Y"):
-        pool = eligible[z]
-        for values in itertools.product(*(domains[v] for v in pool)):
-            event = [Atom(var, val) for var, val in zip(pool, values)]
-            for zval in domains[z]:
-                constraints.append(Conditional(conj(event), conj(event + [Atom(z, zval)])))
+    for w in cfg.wings:
+        pool = sorted(var for var in domains if var not in (w.outcome, w.setting))
+        for values in itertools.product(*(labels[var] for var in pool)):
+            event = [atom[var, v] for var, v in zip(pool, values)]
+            for z in w.settings:
+                constraints.append(Conditional(conj(event), conj(event + [atom[w.setting, z]])))
 
     return Depth1Problem(atom_domains=domains, constraints=tuple(constraints))
 
@@ -281,38 +273,27 @@ def drop_impossibility(problem: Depth1Problem, cell) -> Depth1Problem:
 # JSON behavior files
 # ---------------------------------------------------------------------------
 
-_BEHAVIOR_KEYS = {
-    "x_values", "y_values", "a_values", "b_values",
-    "friend_a", "friend_b", "read_x", "read_y", "possible",
-}
+_CONFIG_FIELDS = fields(ScenarioConfig)
 
 
 def behavior_from_json(data) -> Behavior:
     """Behavior from its JSON dict form; `possible` lists the true cells."""
     if isinstance(data, str):
         data = json.loads(data)
-    unknown = set(data) - _BEHAVIOR_KEYS
+    keys = {f.name for f in _CONFIG_FIELDS} | {"possible"}
+    unknown = set(data) - keys
     if unknown:
         raise ValueError(f"unknown keys in behavior file: {sorted(unknown)}")
-    missing = _BEHAVIOR_KEYS - set(data)
+    missing = keys - set(data)
     if missing:
         raise ValueError(f"missing keys in behavior file: {sorted(missing)}")
-    for key in ("x_values", "y_values", "a_values", "b_values"):
-        if not isinstance(data[key], list):
-            raise ValueError(f"{key} must be a list of labels")
-    for key in ("friend_a", "friend_b"):
-        if not isinstance(data[key], bool):
-            raise ValueError(f"{key} must be true or false")
-    cfg = ScenarioConfig(
-        x_values=tuple(data["x_values"]),
-        y_values=tuple(data["y_values"]),
-        a_values=tuple(data["a_values"]),
-        b_values=tuple(data["b_values"]),
-        friend_a=data["friend_a"],
-        friend_b=data["friend_b"],
-        read_x=data["read_x"],
-        read_y=data["read_y"],
-    )
+    for f in _CONFIG_FIELDS:
+        # the value lists default to tuples, the friend flags to bools
+        if isinstance(f.default, tuple) and not isinstance(data[f.name], list):
+            raise ValueError(f"{f.name} must be a list of labels")
+        if isinstance(f.default, bool) and not isinstance(data[f.name], bool):
+            raise ValueError(f"{f.name} must be true or false")
+    cfg = ScenarioConfig(**{f.name: data[f.name] for f in _CONFIG_FIELDS})
     possible = data["possible"]
     if not isinstance(possible, list) or not all(isinstance(c, list) for c in possible):
         raise ValueError("possible must be a list of [a, b, x, y] cells")
@@ -321,14 +302,9 @@ def behavior_from_json(data) -> Behavior:
 
 def behavior_to_json(beh: Behavior) -> dict:
     cfg = beh.config
-    return {
-        "x_values": list(cfg.x_values),
-        "y_values": list(cfg.y_values),
-        "a_values": list(cfg.a_values),
-        "b_values": list(cfg.b_values),
-        "friend_a": cfg.friend_a,
-        "friend_b": cfg.friend_b,
-        "read_x": cfg.read_x,
-        "read_y": cfg.read_y,
-        "possible": [list(cell) for cell in cfg.cells() if beh.possible[cell]],
-    }
+    doc = {}
+    for f in _CONFIG_FIELDS:
+        value = getattr(cfg, f.name)
+        doc[f.name] = list(value) if isinstance(f.default, tuple) else value
+    doc["possible"] = [list(cell) for cell in cfg.cells() if beh.possible[cell]]
+    return doc

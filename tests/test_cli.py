@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -274,6 +275,28 @@ class TestBoundaryErrors:
         path.write_text(json.dumps(edit(behavior_to_json(hardy_behavior()))))
         assert main(["check", str(path)]) == 2
         assert_one_line_error(capsys)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_check_digest_of_a_pipe_is_the_bytes_read(hardy_file):
+    """A pipe can be read once: the report's digest must hash what was decided."""
+    data = Path(hardy_file).read_bytes()
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r, w = os.pipe()
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plfkit.cli", "check", f"/dev/fd/{r}", "--json"],
+            env=env, pass_fds=(r,), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(r)
+    with os.fdopen(w, "wb") as pipe:
+        pipe.write(data)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1, err
+    report = json.loads(out)
+    assert report["verdicts"]["feasible"] is False
+    assert report["inputs"] == {f"/dev/fd/{r}": hashlib.sha256(data).hexdigest()}
 
 
 def test_cli_import_leaves_numpy_out():

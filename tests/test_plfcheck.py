@@ -53,6 +53,12 @@ class TestMaximalSubtable:
         with pytest.raises(ValueError):
             maximal_subtable(all_true(NO_FRIENDS), 0, 0)
 
+    @pytest.mark.parametrize("c, d", [(True, 0), (0, False)])
+    def test_bool_record_rejected(self, hardy_beh, c, d):
+        # True == 1 and False == 0 on these 0/1 labels, but a bool is no label
+        with pytest.raises(ValueError, match="expected one of"):
+            maximal_subtable(hardy_beh, c, d)
+
     def test_maximality_against_enumeration(self, rng):
         for _ in range(40):
             beh = random_behavior(rng)

@@ -123,6 +123,11 @@ class TestStateAndEffects:
         with pytest.raises(ValueError):
             measurement_effects(3)
 
+    def test_bool_setting_rejected(self):
+        # True == 1, but a bool names no setting
+        with pytest.raises(ValueError):
+            measurement_effects(True)
+
 
 class TestBornTable:
     def test_zero_probability_cells(self):
