@@ -15,7 +15,6 @@ route and the modal route disagree).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -56,6 +55,9 @@ class RunReport:
 def _read_input(path: str) -> tuple[str, str]:
     """Returns (text, digest) of one read, so a pipe is hashed as it was
     read; path '-' means stdin."""
+    # imported on use: hashlib loads OpenSSL, about 3.6 MB resident, and
+    # only reading an input needs it
+    import hashlib
     if path == "-":
         text = sys.stdin.read()
         return text, hashlib.sha256(text.encode()).hexdigest()

@@ -2,13 +2,15 @@
 satisfiability decision for depth-1 problems.
 
 The evaluator is the labelling algorithm: it computes the extension of a
-formula, the set of worlds where it holds, bottom-up by set algebra over
-the model's valuation and a predecessor index built once per model.
-<>phi holds at the predecessors of ext(phi); []phi at every world that
-is not a predecessor of a world outside ext(phi), so dead ends make every
-[]phi true and every <>phi false.  evaluate and valid read one extension;
-they share no code with the depth-1 solver below, so recheck_model is an
-independent check of its models.
+formula, the set of worlds where it holds, bottom-up as a bitmask over the
+worlds, which each model numbers once.  The model also keeps each atom's
+valuation as a mask and, for every world with successors, the mask of its
+successors.  <>phi holds at the worlds whose successor mask meets
+ext(phi); []phi at every world but those whose successor mask meets the
+complement of ext(phi), so dead ends make every []phi true and every <>phi
+false.  evaluate and valid read one extension; they share no code with the
+depth-1 solver below, so recheck_model is an independent check of its
+models.
 
 A depth-1 problem is a conjunction of constraints evaluated at a single
 reference world w0, each of one of the shapes
@@ -84,9 +86,6 @@ class UnknownWorldError(KeyError):
     pass
 
 
-_NOWHERE = frozenset()
-
-
 @dataclass(frozen=True)
 class KripkeModel:
     """Worlds W, accessibility relation R and valuation V.
@@ -117,36 +116,42 @@ class KripkeModel:
             bad = ws - self.worlds
             if bad:
                 raise ValueError(f"valuation of {render(atom)} mentions unknown worlds {sorted(bad)}")
-        # predecessor index, built once for the evaluator; worlds without
-        # predecessors are absent
-        pred: dict = {}
+        # the worlds numbered once, in any order: names need only be hashable
+        bit = {w: 1 << i for i, w in enumerate(self.worlds)}
+        succ: dict = {}
         for (u, v) in self.relation:
-            pred.setdefault(v, []).append(u)
-        object.__setattr__(self, "_pred", pred)
+            succ[u] = succ.get(u, 0) | bit[v]
+        object.__setattr__(self, "_bit", bit)
+        object.__setattr__(self, "_full", (1 << len(bit)) - 1)
+        # a sum of distinct bits is their OR
+        object.__setattr__(self, "_masks", {(atom.variable, atom.value): sum(bit[w] for w in ws)
+                                            for atom, ws in self.valuation.items()})
+        # (world bit, successor mask) for each world with successors only
+        object.__setattr__(self, "_succ", tuple((bit[u], s) for u, s in succ.items()))
 
 
-def _extension(m: KripkeModel, f: Formula) -> frozenset:
-    """The set of worlds of m where f holds, labelled bottom-up."""
+def _extension(m: KripkeModel, f: Formula) -> int:
+    """The bitmask of the worlds of m where f holds, labelled bottom-up."""
     if isinstance(f, Atom):
-        return m.valuation.get(f, _NOWHERE)
+        return m._masks.get((f.variable, f.value), 0)
     if isinstance(f, Not):
-        return m.worlds - _extension(m, f.child)
+        return m._full ^ _extension(m, f.child)
     if isinstance(f, And):
         return _extension(m, f.left) & _extension(m, f.right)
     if isinstance(f, Or):
         return _extension(m, f.left) | _extension(m, f.right)
     if isinstance(f, Implies):
-        # (W - l) | r, with one copy of W instead of two
-        return m.worlds - (_extension(m, f.left) - _extension(m, f.right))
+        return m._full ^ (_extension(m, f.left) & ~_extension(m, f.right))
     if isinstance(f, Iff):
-        return m.worlds - (_extension(m, f.left) ^ _extension(m, f.right))
+        return m._full ^ _extension(m, f.left) ^ _extension(m, f.right)
     if isinstance(f, Diamond):
         # worlds with some successor in ext(child); dead ends have none
-        return frozenset().union(*(m._pred.get(v, _NOWHERE) for v in _extension(m, f.child)))
+        inside = _extension(m, f.child)
+        return sum(b for b, succ in m._succ if succ & inside)
     if isinstance(f, Box):
         # worlds with no successor outside ext(child); dead ends qualify
-        outside = m.worlds - _extension(m, f.child)
-        return m.worlds - frozenset().union(*(m._pred.get(v, _NOWHERE) for v in outside))
+        outside = m._full ^ _extension(m, f.child)
+        return m._full ^ sum(b for b, succ in m._succ if succ & outside)
     raise TypeError(f"not a Formula: {f!r}")
 
 
@@ -154,12 +159,12 @@ def evaluate(m: KripkeModel, w, f: Formula) -> bool:
     """Truth of f at world w of m."""
     if w not in m.worlds:
         raise UnknownWorldError(w)
-    return w in _extension(m, f)
+    return bool(_extension(m, f) & m._bit[w])
 
 
 def valid(m: KripkeModel, f: Formula) -> bool:
     """True iff f holds at every world of m."""
-    return _extension(m, f) == m.worlds
+    return _extension(m, f) == m._full
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +350,17 @@ def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
     grid = [ValuationPoint(tuple(zip(variables, combo)))
             for combo in itertools.product(*(atom_domains[v] for v in variables))]
     full = (1 << len(grid)) - 1
+    # in product order, value j of a variable holds on a run of `stride`
+    # points starting at j * stride, repeated every `period` points
     atom_masks: dict = {}
-    for i, point in enumerate(grid):
-        for pair in point.assignment:
-            atom_masks[pair] = atom_masks.get(pair, 0) | (1 << i)
+    stride = len(grid)
+    for var in variables:
+        vals = atom_domains[var]
+        period, stride = stride, stride // len(vals)
+        repeat = full // ((1 << period) - 1)
+        for j, val in enumerate(vals):
+            run = ((1 << stride) - 1) << (j * stride)
+            atom_masks[var, val] = atom_masks.get((var, val), 0) | run * repeat
 
     def sat(f: Formula) -> int:
         if isinstance(f, Atom):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .formula import Atom, Formula, Implies, conj, disj
+from .formula import And, Atom, Formula, Implies, conj, disj
 from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required
 
 __all__ = [
@@ -140,12 +140,20 @@ class Behavior:
         """
         domain = {cell: cell for cell in config.cells()}
         true_cells = [tuple(c) for c in true_cells]
-        outside = [c for c in true_cells
-                   if c not in domain or tuple(map(type, c)) != tuple(map(type, domain[c]))]
+        outside = [c for c in true_cells if not _in_domain(domain, c)]
         if outside:
             raise ValueError(f"possible cells outside the domain: {outside}")
         true_cells = set(true_cells)
         return Behavior(config, {cell: cell in true_cells for cell in domain})
+
+
+def _in_domain(domain: dict, cell: tuple) -> bool:
+    """True iff `cell` is a key of `domain` with entries of the same types."""
+    try:
+        match = domain.get(cell)
+    except TypeError:  # an unhashable entry, such as a list, labels nothing
+        return False
+    return match is not None and tuple(map(type, cell)) == tuple(map(type, match))
 
 
 @dataclass(frozen=True)
@@ -246,11 +254,17 @@ def encode(beh: Behavior) -> Depth1Problem:
             )))
 
     for w in cfg.wings:
-        pool = sorted(var for var in domains if var not in (w.outcome, w.setting))
-        for values in itertools.product(*(labels[var] for var in pool)):
-            event = [atom[var, v] for var, v in zip(pool, values)]
-            for z in w.settings:
-                constraints.append(Conditional(conj(event), conj(event + [atom[w.setting, z]])))
+        *head, last = sorted(var for var in domains if var not in (w.outcome, w.setting))
+        # (conj(event), [conj(event + [Z=z]) for z]) for each assignment to the
+        # pool's tail, built from the last variable up so that every chain
+        # reuses one node per distinct tail; product order is kept
+        tails = [(a, [And(a, atom[w.setting, z]) for z in w.settings])
+                 for a in (atom[last, v] for v in labels[last])]
+        for var in reversed(head):
+            tails = [(And(a, event), [And(a, c) for c in cons])
+                     for a in (atom[var, v] for v in labels[var]) for event, cons in tails]
+        for event, cons in tails:
+            constraints.extend(Conditional(event, c) for c in cons)
 
     return Depth1Problem(atom_domains=domains, constraints=tuple(constraints))
 
@@ -280,6 +294,8 @@ def behavior_from_json(data) -> Behavior:
     """Behavior from its JSON dict form; `possible` lists the true cells."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError("behavior file must be a JSON object")
     keys = {f.name for f in _CONFIG_FIELDS} | {"possible"}
     unknown = set(data) - keys
     if unknown:

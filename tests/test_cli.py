@@ -276,6 +276,22 @@ class TestBoundaryErrors:
         assert main(["check", str(path)]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda data: 5, "behavior file must be a JSON object"),
+        (lambda data: None, "behavior file must be a JSON object"),
+        (lambda data: "abc", "behavior file must be a JSON object"),
+        (lambda data: [data], "behavior file must be a JSON object"),
+        (lambda data: {**data, "possible": data["possible"] + [[[0], 0, 1, 1]]},
+         "possible cells outside the domain"),
+        (lambda data: {**data, "possible": [[0, {"b": 0}, 1, 1]] + data["possible"]},
+         "possible cells outside the domain"),
+    ], ids=["int", "null", "string", "list", "list-in-cell", "object-in-cell"])
+    def test_bad_behavior_file_names_the_fault(self, tmp_path, capsys, edit, fault):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(behavior_to_json(hardy_behavior()))))
+        assert main(["check", str(path)]) == 2
+        assert fault in assert_one_line_error(capsys)
+
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_check_digest_of_a_pipe_is_the_bytes_read(hardy_file):

@@ -187,6 +187,34 @@ def test_evaluate_matches_naive_oracle(m, f):
     assert valid(m, f) == all(truth.values())
 
 
+@st.composite
+def _wide_models(draw):
+    """Models on 60-200 worlds, so that a world mask spans several machine words.
+
+    Like points_to_model, w0 sees a subset of the other worlds; random extra
+    edges, self-loops and worlds with no successors are added on top.  The
+    other worlds are named by ints: names need only be hashable.
+    """
+    n = draw(st.integers(60, 200))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    others = list(range(1, n))
+    worlds = ["w0"] + others
+    relation = {("w0", v) for v in others if rnd.random() < 0.5}
+    relation |= {(rnd.choice(worlds), rnd.choice(worlds)) for _ in range(rnd.randrange(2 * n))}
+    relation |= {(w, w) for w in rnd.sample(worlds, rnd.randrange(8))}
+    valuation = {a: frozenset(w for w in worlds if rnd.random() < 0.5)
+                 for a in _modal_atoms[:3] if rnd.random() < 0.8}
+    return KripkeModel(frozenset(worlds), frozenset(relation), valuation)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_models(), _modal_formulas)
+def test_evaluate_matches_naive_oracle_on_wide_models(m, f):
+    truth = {w: naive_evaluate(m, w, f) for w in m.worlds}
+    assert {w for w in m.worlds if evaluate(m, w, f)} == {w for w, t in truth.items() if t}
+    assert valid(m, f) == all(truth.values())
+
+
 # -- depth-1 solver ----------------------------------------------------------
 
 
@@ -260,6 +288,34 @@ class TestSolveDepth1:
         result = solve_depth1(Depth1Problem({"Q": ("true", "false")}, (maybe,)))
         assert isinstance(result, Unsat)
         assert result.core == UnsatCore(required=maybe, never_candidates=(), removals=())
+
+    def test_atom_keeps_exactly_its_points(self):
+        rng = random.Random(29)
+        shapes = set()
+        for _ in range(30):
+            domains = {}
+            for var in rng.sample(["P", "Q", "R", "S"], rng.randint(1, 4)):
+                vals = [str(v) for v in rng.sample(range(5), rng.randint(1, 4))]
+                if rng.random() < 0.3:
+                    vals.insert(rng.randrange(len(vals) + 1), rng.choice(vals))
+                domains[var] = tuple(vals)
+                shapes.add("one-value" if len(set(vals)) == 1 else
+                           "duplicate" if len(set(vals)) < len(vals) else "distinct")
+            variables = sorted(domains)
+            grid = [dict(zip(variables, combo))
+                    for combo in itertools.product(*(domains[v] for v in variables))]
+            for var in variables:
+                for val in set(domains[var]):
+                    atom = Atom(var, val)
+                    expected = tuple(ValuationPoint.of(p) for p in grid if p[var] == val)
+                    kept = solve_depth1(Depth1Problem(domains, (MustAll(atom),)))
+                    assert kept.points == set(expected)
+                    # the core lists every grid point, duplicates too, in grid order
+                    core = solve_depth1(Depth1Problem(domains, (Required(atom), Forbidden(atom)))).core
+                    assert core.never_candidates == expected
+                nowhere = solve_depth1(Depth1Problem(domains, (MustAll(Atom(var, "x")),)))
+                assert nowhere.points == frozenset()
+        assert shapes == {"one-value", "duplicate", "distinct"}
 
 
 def _random_prop(rng, variables, depth=2):

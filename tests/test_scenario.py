@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from plfkit.formula import Atom, Box, Diamond, Formula, Not, conj
+from plfkit.formula import Atom, Box, Diamond, Formula, Not, conj, render
 from plfkit.kripke import (
     Conditional,
     Depth1Problem,
@@ -12,6 +12,7 @@ from plfkit.kripke import (
     Model,
     MustAll,
     Required,
+    clause_formula,
     solve_depth1,
 )
 from plfkit.scenario import (
@@ -163,6 +164,50 @@ class TestEncode:
         assert sum(isinstance(c, Forbidden) for c in relaxed.constraints) == 2
         with pytest.raises(ValueError):
             drop_impossibility(prob, (0, 0, 1, 1))  # that cell is possible
+
+
+def _clause_per_chain_conditionals(beh):
+    """encode's finest Conditionals, each built with chains of its own.
+
+    The reference for the shared chains: the same light-cone rule, with
+    every antecedent and consequent a fresh right-nested conj.
+    """
+    cfg = beh.config
+    labels = {w.outcome: w.outcomes for w in cfg.wings}
+    labels |= {w.setting: w.settings for w in cfg.wings}
+    labels |= {w.record: w.outcomes for w in cfg.wings if w.friend}
+    out = []
+    for w in cfg.wings:
+        pool = sorted(var for var in labels if var not in (w.outcome, w.setting))
+        for values in itertools.product(*(labels[var] for var in pool)):
+            event = [Atom(var, str(v)) for var, v in zip(pool, values)]
+            for z in w.settings:
+                out.append(Conditional(conj(event), conj(event + [Atom(w.setting, str(z))])))
+    return tuple(out)
+
+
+def _random_labels(rng):
+    n = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return tuple(rng.sample(range(10), n))
+    return tuple(rng.sample(["u", "v", "on", "off", "k_2"], n))
+
+
+def test_encode_conditionals_match_clause_per_chain_builder(rng):
+    for friend_a, friend_b in itertools.product((False, True), repeat=2):
+        for _ in range(10):
+            xs, ys = _random_labels(rng), _random_labels(rng)
+            cfg = ScenarioConfig(x_values=xs, y_values=ys,
+                                 a_values=_random_labels(rng), b_values=_random_labels(rng),
+                                 friend_a=friend_a, friend_b=friend_b,
+                                 read_x=rng.choice(xs), read_y=rng.choice(ys))
+            beh = random_behavior(rng, cfg, p=rng.choice([0.5, 0.9]))
+            constraints = encode(beh).constraints
+            expected = _clause_per_chain_conditionals(beh)
+            head = tuple(c for c in constraints if not isinstance(c, Conditional))
+            assert constraints == head + expected
+            assert ([render(clause_formula(c)) for c in constraints[len(head):]]
+                    == [render(clause_formula(c)) for c in expected])
 
 
 def _coarse_conditionals(prob):
