@@ -82,6 +82,17 @@ def feasible_witness() -> tuple:
         return code, stdout, out.read_text()
 
 
+HARDY_OUT = ("hardy_probs.json", "hardy_behavior.json")
+
+
+def hardy_out_files() -> dict:
+    """File name -> text of each file `hardy --out` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, _ = _run(["hardy", "--out", tmp])
+        assert code == 0
+        return {name: (Path(tmp) / name).read_text() for name in HARDY_OUT}
+
+
 # golden name -> behavior file whose modal encoding it pins; None is Hardy
 ENCODE = {
     "encode_hardy.txt": None,
@@ -112,6 +123,7 @@ def outputs() -> dict:
         **{name: _run(argv, stdin=(INPUTS / src).read_text())[1]
            for name, (argv, src, _) in CHECK.items()},
         "feasible_3x2_witness.json": feasible_witness()[2],
+        **hardy_out_files(),
         **{name: encode_text(src) for name, src in ENCODE.items()},
     }
 
@@ -148,6 +160,11 @@ def test_check_out_witness():
     code, out, witness = feasible_witness()
     assert (code, out) == (0, "possibilistic local friendliness: feasible\n")
     assert witness == (GOLDEN / "feasible_3x2_witness.json").read_text()
+
+
+def test_hardy_out_files():
+    for name, text in hardy_out_files().items():
+        assert text == (GOLDEN / name).read_text(), name
 
 
 def test_hardy_unsat_core():
