@@ -27,7 +27,6 @@ from .kripke import (
     Required,
     Unsat,
     UnknownWorldError,
-    ValuationPoint,
     evaluate,
     recheck_model,
     solve_depth1,

@@ -196,13 +196,15 @@ def cmd_hardy(args) -> RunReport:
                 f"P(0,1|1,2)={fmt(table.probs[(0, 1, 1, 2)])}  "
                 f"P(1,0|2,1)={fmt(table.probs[(1, 0, 2, 1)])}  "
                 f"P(1,1|2,2)={fmt(table.probs[(1, 1, 2, 2)])}")
-    behavior_json = json.dumps(behavior_to_json(beh), indent=2, sort_keys=True) + "\n"
+    behavior = behavior_to_json(beh)
+    probabilities = {f"a={a} b={b} x={x} y={y}": float(p)
+                     for (a, b, x, y), p in sorted(table.probs.items())}
+    behavior_json = json.dumps(behavior, indent=2, sort_keys=True) + "\n"
     report.verdicts = {
         "headline": headline,
         "epsilon": args.epsilon,
-        "behavior": behavior_to_json(beh),
-        "probabilities": {f"a={a} b={b} x={x} y={y}": float(p)
-                          for (a, b, x, y), p in sorted(table.probs.items())},
+        "behavior": behavior,
+        "probabilities": probabilities,
     }
     if args.out:
         outdir = Path(args.out)
@@ -210,7 +212,8 @@ def cmd_hardy(args) -> RunReport:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _InputError(f"cannot create {outdir}: {exc.strerror or exc}") from exc
-        _write_output(outdir / "hardy_probs.json", table.to_json() + "\n")
+        _write_output(outdir / "hardy_probs.json",
+                      json.dumps(probabilities, indent=2, sort_keys=True) + "\n")
         _write_output(outdir / "hardy_behavior.json", behavior_json)
     if not args.json:
         # headline goes to stderr so stdout stays a valid behavior file and
@@ -272,8 +275,7 @@ def cmd_prove(args) -> RunReport:
                      f"{'SAT' if is_sat else 'UNSAT'}"
                      + (", witness re-verified by the evaluator" if rechecked else ""))
         if is_sat:
-            worlds = sorted((pt.as_dict() for pt in result.points),
-                            key=lambda w: sorted(w.items()))
+            worlds = [dict(pt) for pt in sorted(result.points)]
             lines.append(f"  witness world-set ({len(worlds)} worlds):")
             for w in worlds:
                 lines.append("    (" + ", ".join(f"{k}={w[k]}" for k in sorted(w)) + ")")
@@ -356,6 +358,10 @@ def main(argv=None) -> int:
         report = args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # the library's own formulas nest a few levels, so only input overflows
+        print("error: input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
         print(report.to_json())

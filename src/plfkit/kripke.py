@@ -23,16 +23,18 @@ reference world w0, each of one of the shapes
 with phi, psi propositional over finite-domain atoms.  Because every
 constraint lives at w0 and has modal depth 1, only the *set* of worlds
 accessible from w0 matters, and each accessible world is fully described
-by a total assignment of values to variables (a ValuationPoint).  The
-family of satisfying world-sets is closed under union, so the unique
-maximal candidate is found by deflation: start from all points passing
-the MustAll/Forbidden filters, and repeatedly delete the antecedent
-points of any Conditional whose consequent has no remaining witness.
+by a total assignment of values to variables: a point, the sorted tuple
+of its (variable, value) pairs.  The family of satisfying world-sets is
+closed under union, so the unique maximal candidate is found by
+deflation: start from all points passing the MustAll/Forbidden filters,
+and repeatedly delete the antecedent points of any Conditional whose
+consequent has no remaining witness.
 
 Building a Depth1Problem compiles it: one walk over each clause body
 yields the bitmask of the grid points where the body holds, and that walk
 is also the fragment check (no modal operator in a body, no variable
-outside atom_domains).  solve_depth1 only deflates the stored masks.
+outside atom_domains).  solve_depth1 only deflates the stored masks, and
+builds a point only for the grid bits that its result lists.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ __all__ = [
     "Clause",
     "FragmentError",
     "Depth1Problem",
-    "ValuationPoint",
     "Model",
     "Unsat",
     "UnsatCore",
@@ -269,25 +270,11 @@ def clause_formula(c: Clause) -> Formula:
 
 
 @dataclass(frozen=True)
-class ValuationPoint:
-    """A total assignment of one value to every variable of a problem."""
-
-    assignment: tuple  # sorted ((variable, value), ...) pairs
-
-    @staticmethod
-    def of(mapping: Mapping[str, str]) -> "ValuationPoint":
-        return ValuationPoint(tuple(sorted(mapping.items())))
-
-    def as_dict(self) -> dict:
-        return dict(self.assignment)
-
-
-@dataclass(frozen=True)
 class Depth1Problem:
     """A conjunction of depth-1 clauses over finite variable domains.
 
     Building a problem compiles it: every clause body becomes the bitmask of
-    the grid points (ValuationPoints, in itertools.product order over the
+    the grid points (total assignments, in itertools.product order over the
     sorted variables) where it holds, and the MustAll and Forbidden masks
     fold into one start mask.  That one walk over each body is also the
     fragment check.  It raises FragmentError on a constraint that is not
@@ -308,8 +295,9 @@ class Depth1Problem:
         for var, vals in self.atom_domains.items():
             if not vals:
                 raise ValueError(f"empty domain for {var}")
-        grid, start, conds, reqs = _compile(self.atom_domains, self.constraints)
-        object.__setattr__(self, "_grid", grid)
+        variables, combos, start, conds, reqs = _compile(self.atom_domains, self.constraints)
+        object.__setattr__(self, "_variables", variables)
+        object.__setattr__(self, "_combos", combos)
         object.__setattr__(self, "_start", start)
         object.__setattr__(self, "_conds", conds)
         object.__setattr__(self, "_reqs", reqs)
@@ -321,16 +309,17 @@ class UnsatCore:
 
     never_candidates: its witnesses excluded up front by MustAll/Forbidden,
     removals: the Conditional deflation steps that emptied the rest.
+    Each point is a sorted tuple of (variable, value) pairs.
     """
 
     required: Required
-    never_candidates: tuple  # ValuationPoints failing the MustAll/Forbidden filter
+    never_candidates: tuple  # points failing the MustAll/Forbidden filter, in grid order
     removals: tuple  # (Conditional, (removed candidate points...)) in firing order
 
 
 @dataclass(frozen=True)
 class Model:
-    points: frozenset  # of ValuationPoint
+    points: frozenset  # of points: sorted ((variable, value), ...) tuples
 
 
 @dataclass(frozen=True)
@@ -341,19 +330,18 @@ class Unsat:
 SatResult = Union[Model, Unsat]
 
 
-def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
-    """The grid of a problem, the mask of the points passing every MustAll
-    and Forbidden, and the (Conditional, antecedent mask, consequent mask)
-    and (Required, mask) lists in constraint order; checks the fragment on
-    the way."""
+def _compile(atom_domains, constraints) -> tuple[list, list, int, tuple, tuple]:
+    """The sorted variables, the grid's value tuples in product order, the
+    mask of the points passing every MustAll and Forbidden, and the
+    (Conditional, antecedent mask, consequent mask) and (Required, mask)
+    lists in constraint order; checks the fragment on the way."""
     variables = sorted(atom_domains)
-    grid = [ValuationPoint(tuple(zip(variables, combo)))
-            for combo in itertools.product(*(atom_domains[v] for v in variables))]
-    full = (1 << len(grid)) - 1
+    combos = list(itertools.product(*(atom_domains[v] for v in variables)))
+    full = (1 << len(combos)) - 1
     # in product order, value j of a variable holds on a run of `stride`
     # points starting at j * stride, repeated every `period` points
     atom_masks: dict = {}
-    stride = len(grid)
+    stride = len(combos)
     for var in variables:
         vals = atom_domains[var]
         period, stride = stride, stride // len(vals)
@@ -397,12 +385,12 @@ def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
             conds.append((c, sat(c.antecedent), sat(c.consequent)))
         else:
             raise FragmentError(f"constraint outside the depth-1 fragment: {c!r}")
-    return grid, start, tuple(conds), tuple(reqs)
+    return variables, combos, start, tuple(conds), tuple(reqs)
 
 
 def solve_depth1(p: Depth1Problem) -> SatResult:
     """Decide the depth-1 problem exactly via greatest-fixpoint deflation."""
-    grid, start = p._grid, p._start
+    start = p._start
     current = start
     removal_log: list[tuple[Conditional, int]] = []
     changed = True
@@ -422,25 +410,24 @@ def solve_depth1(p: Depth1Problem) -> SatResult:
             for cond, removed in removal_log:
                 hit = removed & alive
                 if hit:
-                    removals.append((cond, tuple(grid[i] for i in _bits(hit))))
+                    removals.append((cond, _points(p, hit)))
                     alive &= ~hit
             core = UnsatCore(
                 required=c,
-                never_candidates=tuple(grid[i] for i in _bits(never)),
+                never_candidates=_points(p, never),
                 removals=tuple(removals),
             )
             return Unsat(core)
 
-    return Model(frozenset(grid[i] for i in _bits(current)))
+    return Model(frozenset(_points(p, current)))
 
 
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+def _points(p: Depth1Problem, mask: int) -> tuple:
+    """The points of the grid bits set in mask, in grid order."""
+    variables, combos = p._variables, p._combos
+    # bin() lists the bits high to low, so the reversed digits are bits 0, 1, ...
+    return tuple(tuple(zip(variables, combos[i]))
+                 for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +435,20 @@ def _bits(mask: int):
 # ---------------------------------------------------------------------------
 
 
-def points_to_model(p: Depth1Problem, points, reference: str = "w0") -> KripkeModel:
-    """The Kripke model with w0 seeing exactly the given valuation points.
+def points_to_model(p: Depth1Problem, points) -> KripkeModel:
+    """The Kripke model with w0 seeing exactly the given points, each a
+    sorted tuple of (variable, value) pairs; the others are w1, w2, ... in
+    sorted order.
 
     w0 itself carries the all-false valuation; no constraint of the fragment
     says anything about w0's own atoms.
     """
-    points = sorted(points, key=lambda pt: pt.assignment)
-    names = {pt: f"w{i + 1}" for i, pt in enumerate(points)}
-    worlds = {reference} | set(names.values())
-    relation = {(reference, names[pt]) for pt in points}
+    names = {pt: f"w{i + 1}" for i, pt in enumerate(sorted(points))}
+    worlds = {"w0"} | set(names.values())
+    relation = {("w0", name) for name in names.values()}
     by_pair: dict[tuple, set] = {}
-    for pt in points:
-        name = names[pt]
-        for pair in pt.assignment:
+    for pt, name in names.items():
+        for pair in pt:
             by_pair.setdefault(pair, set()).add(name)
     valuation: dict[Atom, set] = {}
     for (var, val), ws in by_pair.items():
@@ -469,7 +456,7 @@ def points_to_model(p: Depth1Problem, points, reference: str = "w0") -> KripkeMo
     return KripkeModel(frozenset(worlds), frozenset(relation), valuation)
 
 
-def recheck_model(p: Depth1Problem, points, reference: str = "w0") -> bool:
+def recheck_model(p: Depth1Problem, points) -> bool:
     """Independently verify a solve_depth1 model through the modal evaluator."""
-    m = points_to_model(p, points, reference)
-    return all(evaluate(m, reference, clause_formula(c)) for c in p.constraints)
+    m = points_to_model(p, points)
+    return all(evaluate(m, "w0", clause_formula(c)) for c in p.constraints)

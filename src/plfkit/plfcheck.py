@@ -15,7 +15,6 @@ the behavior is feasible iff the slice maxima jointly cover it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -103,9 +102,6 @@ class ProofTrace:
                 for cd, steps in self.branches
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ the Alice record c, Bob record d basis state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -94,11 +93,6 @@ class ProbTable:
         for key, p in self.probs.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"probability out of range at {key}: {p}")
-
-    def to_json(self) -> str:
-        rows = {f"a={a} b={b} x={x} y={y}": float(p)
-                for (a, b, x, y), p in sorted(self.probs.items())}
-        return json.dumps(rows, indent=2, sort_keys=True)
 
 
 def hardy_state() -> StateVector:

@@ -198,11 +198,14 @@ def _atom(var: str, val) -> Atom:
 def _check_label(name: str, value) -> None:
     """Raises ValueError unless `value` can label a setting or an outcome.
 
-    Labels enter the modal encoding as atom values `str(value)`; bools are
-    refused because they compare equal to the integers 0 and 1.
+    Labels are ints or strings and enter the modal encoding as atom values
+    `str(value)`; bools are refused because they compare equal to the
+    integers 0 and 1, None because it marks an absent friend's record.
     """
     if isinstance(value, bool):
         raise ValueError(f"{name}: {value!r} is a bool, not a label")
+    if not isinstance(value, (int, str)):
+        raise ValueError(f"{name}: {value!r} is not a label (labels are ints or strings)")
     try:
         _atom("X", value)
     except ValueError:

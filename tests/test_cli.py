@@ -121,18 +121,6 @@ class TestCheck:
     def test_modal_mode(self, hardy_file):
         assert main(["check", hardy_file, "--mode", "modal"]) == 1
 
-    def test_null_record_label_gets_a_verdict(self, tmp_path, capsys):
-        # null is an accepted outcome label, so a friend's record may take it too
-        data = behavior_to_json(hardy_behavior())
-        data["a_values"] = [None, 1]
-        data["possible"] = [[None if a == 0 else a, b, x, y] for a, b, x, y in data["possible"]]
-        path = tmp_path / "null.json"
-        path.write_text(json.dumps(data))
-        assert main(["check", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out.startswith("possibilistic local friendliness: infeasible\n")
-        assert "C=None" in captured.out and captured.err == ""
-
     def test_malformed_behavior_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nope\": 1}")
@@ -219,6 +207,12 @@ class TestProve:
                    for v in report["verdicts"]["relaxations"].values())
 
 
+def _relabel_a0(data, label):
+    """The behavior JSON with Alice's outcome 0 renamed to `label`, cells too."""
+    return {**data, "a_values": [label, 1],
+            "possible": [[label if a == 0 else a, b, x, y] for a, b, x, y in data["possible"]]}
+
+
 class TestBoundaryErrors:
     """Bad inputs exit 2 with a one-line message, never 1 or a traceback."""
 
@@ -254,6 +248,16 @@ class TestBoundaryErrors:
         assert "unrecognized arguments: --out" in captured.err.splitlines()[-1]
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub", ["parse", "check", "eval"])
+    def test_deep_nesting(self, sub, model_file, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = {"parse": ["parse", "~" * 3000 + "A"],
+                "check": ["check", str(deep)],
+                "eval": ["eval", model_file, "w0", "(" * 2000 + "A" + ")" * 2000]}[sub]
+        assert main(argv) == 2
+        assert assert_one_line_error(capsys) == "error: input nests too deeply"
+
     @pytest.mark.parametrize("edit", [
         lambda data: {**data, "possible": 5},
         lambda data: {**data, "a_values": [-1, 1],
@@ -285,7 +289,11 @@ class TestBoundaryErrors:
          "possible cells outside the domain"),
         (lambda data: {**data, "possible": [[0, {"b": 0}, 1, 1]] + data["possible"]},
          "possible cells outside the domain"),
-    ], ids=["int", "null", "string", "list", "list-in-cell", "object-in-cell"])
+        (lambda data: _relabel_a0(data, float("nan")), "a_values: nan is not a label"),
+        (lambda data: _relabel_a0(data, float("inf")), "a_values: inf is not a label"),
+        (lambda data: _relabel_a0(data, None), "a_values: None is not a label"),
+    ], ids=["int", "null", "string", "list", "list-in-cell", "object-in-cell",
+            "nan-label", "infinity-label", "null-label"])
     def test_bad_behavior_file_names_the_fault(self, tmp_path, capsys, edit, fault):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(edit(behavior_to_json(hardy_behavior()))))

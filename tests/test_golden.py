@@ -40,7 +40,7 @@ def _run(argv, stdin=""):
 
 
 def _points(points) -> list:
-    return [pt.as_dict() for pt in points]
+    return [dict(pt) for pt in points]
 
 
 def hardy_core_json() -> str:

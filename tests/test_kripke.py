@@ -18,7 +18,6 @@ from plfkit.kripke import (
     Unsat,
     UnknownWorldError,
     UnsatCore,
-    ValuationPoint,
     evaluate,
     model_from_json,
     model_to_json,
@@ -223,7 +222,7 @@ class TestSolveDepth1:
         prob = Depth1Problem({"Q": ("true", "false")}, (Required(Atom("Q")),))
         result = solve_depth1(prob)
         assert isinstance(result, Model)
-        assert ValuationPoint.of({"Q": "true"}) in result.points
+        assert (("Q", "true"),) in result.points
         assert recheck_model(prob, result.points)
 
     def test_required_vs_forbidden_conflict(self):
@@ -307,7 +306,7 @@ class TestSolveDepth1:
             for var in variables:
                 for val in set(domains[var]):
                     atom = Atom(var, val)
-                    expected = tuple(ValuationPoint.of(p) for p in grid if p[var] == val)
+                    expected = tuple(tuple(sorted(p.items())) for p in grid if p[var] == val)
                     kept = solve_depth1(Depth1Problem(domains, (MustAll(atom),)))
                     assert kept.points == set(expected)
                     # the core lists every grid point, duplicates too, in grid order
@@ -369,7 +368,7 @@ def test_recheck_matches_set_oracle_on_arbitrary_subsets():
         subsets = [[], grid] + [[p for p in grid if rng.random() < 0.5] for _ in range(3)]
         for subset in subsets:
             expected = set_satisfies(prob, subset)
-            assert recheck_model(prob, {ValuationPoint.of(p) for p in subset}) == expected
+            assert recheck_model(prob, {tuple(sorted(p.items())) for p in subset}) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -378,10 +377,10 @@ def test_recheck_rejects_model_with_a_point_removed(hardy_beh):
     problem = drop_impossibility(encode(hardy_beh), (1, 1, 1, 1))
     result = solve_depth1(problem)
     assert isinstance(result, Model) and recheck_model(problem, result.points)
-    witness = ValuationPoint.of({"A": "1", "B": "1", "C": "1", "D": "1", "X": "1", "Y": "1"})
+    witness = tuple(sorted({"A": "1", "B": "1", "C": "1", "D": "1", "X": "1", "Y": "1"}.items()))
     assert witness in result.points
     smaller = result.points - {witness}
-    assert not set_satisfies(problem, [pt.as_dict() for pt in smaller])
+    assert not set_satisfies(problem, [dict(pt) for pt in smaller])
     assert recheck_model(problem, smaller) is False
 
 
@@ -403,7 +402,7 @@ def test_union_closure_of_satisfying_sets():
 
 def test_points_to_model_builds_expected_shape():
     prob = Depth1Problem({"Q": ("true", "false")}, (Required(Atom("Q")),))
-    pts = {ValuationPoint.of({"Q": "true"})}
+    pts = {(("Q", "true"),)}
     m = points_to_model(prob, pts)
     assert m.worlds == {"w0", "w1"}
     assert m.relation == {("w0", "w1")}
