@@ -20,6 +20,7 @@ import pytest
 from plfkit.cli import main
 from plfkit.formula import render
 from plfkit.kripke import Unsat, clause_formula, solve_depth1
+from plfkit.plfcheck import plf_feasible
 from plfkit.quantum import hardy_behavior
 from plfkit.scenario import ScenarioConfig, behavior_from_json, behavior_to_json, encode
 
@@ -57,6 +58,16 @@ def hardy_core_json() -> str:
                      for cond, points in core.removals],
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def hardy_repr_text() -> str:
+    """repr of the Hardy behavior, of each of its clauses (one a line), of the
+    modal route's result with its UnsatCore and of the table route's verdict."""
+    beh = hardy_behavior()
+    problem = encode(beh)
+    lines = [repr(beh)] + [repr(c) for c in problem.constraints]
+    lines += [repr(solve_depth1(problem)), repr(plf_feasible(beh))]
+    return "\n".join(lines) + "\n"
 
 
 PROVE = {
@@ -120,6 +131,7 @@ def outputs() -> dict:
         "hardy.stderr": hardy_err,
         "hardy_check.stdout": _run(["check"], stdin=hardy_out)[1],
         "hardy_unsat_core.json": hardy_core_json(),
+        "hardy_repr.txt": hardy_repr_text(),
         **{name: _run(argv, stdin=(INPUTS / src).read_text())[1]
            for name, (argv, src, _) in CHECK.items()},
         "feasible_3x2_witness.json": feasible_witness()[2],
@@ -169,6 +181,10 @@ def test_hardy_out_files():
 
 def test_hardy_unsat_core():
     assert hardy_core_json() == (GOLDEN / "hardy_unsat_core.json").read_text()
+
+
+def test_hardy_repr():
+    assert hardy_repr_text() == (GOLDEN / "hardy_repr.txt").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(ENCODE))
