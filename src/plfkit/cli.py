@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import kripke, plfcheck, quantum, scenario
@@ -38,12 +37,12 @@ IMPOSSIBLE_CELLS = {
 }
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    exit_code: int = EXIT_OK
+    def __init__(self, command: str):
+        self.command = command
+        self.inputs: dict = {}
+        self.verdicts: dict = {}
+        self.exit_code = EXIT_OK
 
     def to_json(self) -> str:
         return json.dumps(

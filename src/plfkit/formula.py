@@ -15,7 +15,8 @@ The concrete grammar is documented in docs/grammar.ebnf.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "Formula",
@@ -38,67 +39,78 @@ _VARIABLE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _VALUE_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-class Formula:
+class Formula(Record):
     """Base class for all formula nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     """A statement that a scenario variable takes a particular value."""
 
-    variable: str
-    value: str = "true"
+    __slots__ = _fields = ("variable", "value")
 
-    def __post_init__(self):
-        if not _VARIABLE_RE.match(self.variable):
-            raise ValueError(f"bad atom variable: {self.variable!r}")
-        if not _VALUE_RE.match(self.value):
-            raise ValueError(f"bad atom value: {self.value!r}")
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
+    def __init__(self, variable: str, value: str = "true"):
+        if not _VARIABLE_RE.match(variable):
+            raise ValueError(f"bad atom variable: {variable!r}")
+        if not _VALUE_RE.match(value):
+            raise ValueError(f"bad atom value: {value!r}")
+        _set_variable(self, variable)
+        _set_value(self, value)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child: Formula):
+        _set_child(self, child)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+# the slots' own setters, which skip the name lookup of object.__setattr__:
+# encode builds hundreds of nodes per behavior
+_set_variable, _set_value = Atom.variable.__set__, Atom.value.__set__
+_set_child = _Unary.child.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
+
+
+class Diamond(_Unary):
     """Possibly: true at w iff the child holds at some world accessible from w."""
 
-    child: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(Formula):
+class Box(_Unary):
     """Necessarily: true at w iff the child holds at every world accessible from w."""
 
-    child: Formula
+    __slots__ = ()
 
 
 def conj(parts) -> Formula:

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import json
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Union
 
+from ._record import Record
 from .formula import (
     And,
     Atom,
@@ -87,14 +87,14 @@ class UnknownWorldError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(Record):
     """Worlds W, accessibility relation R and valuation V.
 
     Atoms absent from the valuation are false at every world.  No frame
     conditions (reflexivity, seriality, ...) are imposed.
     """
 
+    _fields = ("worlds", "relation", "valuation")
     worlds: frozenset
     relation: frozenset
     valuation: Mapping[Atom, frozenset]
@@ -201,6 +201,9 @@ def model_from_json(data) -> KripkeModel:
         atom = parse(key)
         if not isinstance(atom, Atom):
             raise ValueError(f"valuation key is not an atom: {key!r}")
+        if atom in valuation:
+            # "A" and "A=true" name one atom: neither may overwrite the other
+            raise ValueError(f"valuation lists the atom {render(atom)} more than once")
         _check_names(worlds, f"valuation of {key}")
         valuation[atom] = frozenset(worlds)
     return KripkeModel(
@@ -232,26 +235,36 @@ class FragmentError(ValueError):
     """Constraint outside the MustAll/Forbidden/Required/Conditional fragment."""
 
 
-@dataclass(frozen=True)
-class MustAll:
-    body: Formula
+class _BodyClause(Record):
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Formula):
+        _set_body(self, body)
 
 
-@dataclass(frozen=True)
-class Forbidden:
-    body: Formula
+class MustAll(_BodyClause):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Required:
-    body: Formula
+class Forbidden(_BodyClause):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Conditional:
-    antecedent: Formula
-    consequent: Formula
+class Required(_BodyClause):
+    __slots__ = ()
 
+
+class Conditional(Record):
+    __slots__ = _fields = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Formula, consequent: Formula):
+        _set_antecedent(self, antecedent)
+        _set_consequent(self, consequent)
+
+
+# the slots' own setters, as for the formula nodes
+_set_body = _BodyClause.body.__set__
+_set_antecedent, _set_consequent = Conditional.antecedent.__set__, Conditional.consequent.__set__
 
 Clause = Union[MustAll, Forbidden, Required, Conditional]
 
@@ -269,8 +282,7 @@ def clause_formula(c: Clause) -> Formula:
     raise TypeError(f"not a clause: {c!r}")
 
 
-@dataclass(frozen=True)
-class Depth1Problem:
+class Depth1Problem(Record):
     """A conjunction of depth-1 clauses over finite variable domains.
 
     Building a problem compiles it: every clause body becomes the bitmask of
@@ -283,6 +295,7 @@ class Depth1Problem:
     is known but whose value is outside its domain holds at no point.
     """
 
+    _fields = ("atom_domains", "constraints")
     atom_domains: Mapping[str, tuple]
     constraints: tuple
 
@@ -303,8 +316,7 @@ class Depth1Problem:
         object.__setattr__(self, "_reqs", reqs)
 
 
-@dataclass(frozen=True)
-class UnsatCore:
+class UnsatCore(Record):
     """Why a Required clause cannot be covered.
 
     never_candidates: its witnesses excluded up front by MustAll/Forbidden,
@@ -312,18 +324,19 @@ class UnsatCore:
     Each point is a sorted tuple of (variable, value) pairs.
     """
 
+    _fields = ("required", "never_candidates", "removals")
     required: Required
     never_candidates: tuple  # points failing the MustAll/Forbidden filter, in grid order
     removals: tuple  # (Conditional, (removed candidate points...)) in firing order
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
+    _fields = ("points",)
     points: frozenset  # of points: sorted ((variable, value), ...) tuples
 
 
-@dataclass(frozen=True)
-class Unsat:
+class Unsat(Record):
+    _fields = ("core",)
     core: UnsatCore
 
 

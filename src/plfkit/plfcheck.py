@@ -15,9 +15,9 @@ the behavior is feasible iff the slice maxima jointly cover it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from ._record import Record
 from .scenario import Behavior, ScenarioConfig
 
 __all__ = [
@@ -45,10 +45,10 @@ def cd_values(cfg: ScenarioConfig):
     return [(c, d) for c in cs for d in ds]
 
 
-@dataclass(frozen=True)
-class RemovalStep:
+class RemovalStep(Record):
     """One elimination during slice deflation."""
 
+    _fields = ("kind", "cells", "detail")
     kind: str  # "reading" or "marginal"
     cells: tuple  # killed (a, b, x, y) cells
     detail: str
@@ -57,17 +57,16 @@ class RemovalStep:
         return {"kind": self.kind, "cells": [list(c) for c in self.cells], "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class SliceTable:
+class SliceTable(Record):
     """Maximal valid sub-table for one (c, d), with its elimination log."""
 
+    _fields = ("cd", "cells", "steps")
     cd: tuple
     cells: Mapping[tuple, bool]
     steps: tuple
 
 
-@dataclass(frozen=True)
-class ExtendedTable:
+class ExtendedTable(Record):
     """Joint possibility table over (a, b, c, d, x, y).
 
     Keys always have six slots; c (resp. d) is None when the corresponding
@@ -75,6 +74,7 @@ class ExtendedTable:
     not by the constructor, so counterexample tables can be built in tests.
     """
 
+    _fields = ("config", "entries")
     config: ScenarioConfig
     entries: Mapping[tuple, bool]
 
@@ -87,10 +87,10 @@ class ExtendedTable:
         return out
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Record):
     """Infeasibility certificate: a possible cell no slice can retain."""
 
+    _fields = ("target_cell", "branches")
     target_cell: tuple
     branches: tuple  # ((c, d), (RemovalStep, ...)) per slice
 
@@ -104,8 +104,8 @@ class ProofTrace:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    _fields = ("feasible", "witness", "trace")
     feasible: bool
     witness: Optional[ExtendedTable]
     trace: Optional[ProofTrace]

@@ -16,10 +16,10 @@ the Alice record c, Bob record d basis state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from ._record import Record
 from .scenario import Behavior, ScenarioConfig
 
 __all__ = [
@@ -62,30 +62,30 @@ def _projector(rows, what: str, unit_trace: bool = False) -> tuple:
     return m
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Pure state held as its density matrix |psi><psi| (trace-1 projector)."""
 
+    _fields = ("density",)
     density: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "density", _projector(self.density, "state", unit_trace=True))
 
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(Record):
     """Projective measurement effect (symmetric idempotent rational matrix)."""
 
+    _fields = ("matrix",)
     matrix: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _projector(self.matrix, "effect"))
 
 
-@dataclass(frozen=True)
-class ProbTable:
+class ProbTable(Record):
     """Exact outcome probabilities per context; each context sums to one."""
 
+    _fields = ("probs",)
     probs: Mapping[tuple, Fraction]
 
     def __post_init__(self):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
+from ._record import Record
 from .formula import And, Atom, Formula, Implies, conj, disj
 from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required
 
@@ -52,8 +52,12 @@ class Wing(NamedTuple):
     events: dict
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
+    """The labels of a scenario and its friends; each field's default is the
+    class attribute of its name."""
+
+    _fields = ("x_values", "y_values", "a_values", "b_values",
+               "friend_a", "friend_b", "read_x", "read_y")
     x_values: tuple = (1, 2)
     y_values: tuple = (1, 2)
     a_values: tuple = (0, 1)
@@ -108,10 +112,10 @@ class ScenarioConfig:
         )
 
 
-@dataclass(frozen=True)
-class Behavior:
+class Behavior(Record):
     """Possibility table over (a, b, x, y), total over the domain product."""
 
+    _fields = ("config", "possible")
     config: ScenarioConfig
     possible: Mapping[tuple, bool]
 
@@ -156,10 +160,10 @@ def _in_domain(domain: dict, cell: tuple) -> bool:
     return match is not None and tuple(map(type, cell)) == tuple(map(type, match))
 
 
-@dataclass(frozen=True)
-class PnsReport:
+class PnsReport(Record):
     """Possibilistic no-signalling verdict; holds iff no violations."""
 
+    _fields = ("holds", "violations")
     holds: bool
     violations: tuple
 
@@ -290,29 +294,43 @@ def drop_impossibility(problem: Depth1Problem, cell) -> Depth1Problem:
 # JSON behavior files
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = fields(ScenarioConfig)
+_CONFIG_FIELDS = ScenarioConfig._fields
+
+# the config of the last behavior read: a stream of behaviors over one
+# scenario then shares one config, and so builds its `wings` once
+_last_config = [None]
 
 
 def behavior_from_json(data) -> Behavior:
-    """Behavior from its JSON dict form; `possible` lists the true cells."""
+    """Behavior from its JSON dict form; `possible` lists the true cells.
+
+    A config equal to the previous call's is replaced by that one.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("behavior file must be a JSON object")
-    keys = {f.name for f in _CONFIG_FIELDS} | {"possible"}
+    keys = {*_CONFIG_FIELDS, "possible"}
     unknown = set(data) - keys
     if unknown:
         raise ValueError(f"unknown keys in behavior file: {sorted(unknown)}")
     missing = keys - set(data)
     if missing:
         raise ValueError(f"missing keys in behavior file: {sorted(missing)}")
-    for f in _CONFIG_FIELDS:
+    for name in _CONFIG_FIELDS:
         # the value lists default to tuples, the friend flags to bools
-        if isinstance(f.default, tuple) and not isinstance(data[f.name], list):
-            raise ValueError(f"{f.name} must be a list of labels")
-        if isinstance(f.default, bool) and not isinstance(data[f.name], bool):
-            raise ValueError(f"{f.name} must be true or false")
-    cfg = ScenarioConfig(**{f.name: data[f.name] for f in _CONFIG_FIELDS})
+        default = getattr(ScenarioConfig, name)
+        if isinstance(default, tuple) and not isinstance(data[name], list):
+            raise ValueError(f"{name} must be a list of labels")
+        if isinstance(default, bool) and not isinstance(data[name], bool):
+            raise ValueError(f"{name} must be true or false")
+    cfg = ScenarioConfig(**{name: data[name] for name in _CONFIG_FIELDS})
+    # the checks leave only bool flags and non-bool int or str labels, so
+    # equal configs label alike
+    if cfg == _last_config[0]:
+        cfg = _last_config[0]
+    else:
+        _last_config[0] = cfg
     possible = data["possible"]
     if not isinstance(possible, list) or not all(isinstance(c, list) for c in possible):
         raise ValueError("possible must be a list of [a, b, x, y] cells")
@@ -322,8 +340,8 @@ def behavior_from_json(data) -> Behavior:
 def behavior_to_json(beh: Behavior) -> dict:
     cfg = beh.config
     doc = {}
-    for f in _CONFIG_FIELDS:
-        value = getattr(cfg, f.name)
-        doc[f.name] = list(value) if isinstance(f.default, tuple) else value
+    for name in _CONFIG_FIELDS:
+        value = getattr(cfg, name)
+        doc[name] = list(value) if isinstance(getattr(ScenarioConfig, name), tuple) else value
     doc["possible"] = [list(cell) for cell in cfg.cells() if beh.possible[cell]]
     return doc

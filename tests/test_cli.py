@@ -94,7 +94,9 @@ class TestEval:
         ({"worlds": [["w"]], "relation": [], "valuation": {}}, "world names"),
         ({"worlds": ["w"], "relation": [["w"]], "valuation": {}}, "pair"),
         ({"worlds": ["w"], "relation": [], "valuation": {"Q": "w"}}, "world names"),
-    ], ids=["world-not-string", "short-pair", "valuation-value-string"])
+        ({"worlds": ["w"], "relation": [], "valuation": {"Q": ["w"], "Q=true": []}},
+         "atom Q more than once"),
+    ], ids=["world-not-string", "short-pair", "valuation-value-string", "repeated-atom"])
     def test_malformed_model_exit_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -323,12 +325,16 @@ def test_check_digest_of_a_pipe_is_the_bytes_read(hardy_file):
     assert report["inputs"] == {f"/dev/fd/{r}": hashlib.sha256(data).hexdigest()}
 
 
-def test_cli_import_leaves_numpy_out():
-    """numpy is a test-only dependency: the CLI must not import it."""
+def test_cli_import_leaves_heavy_modules_out():
+    """Importing the CLI loads none of: numpy, a test-only dependency;
+    dataclasses, which pulls in inspect, ast and dis; hashlib, which loads
+    OpenSSL and is imported only when an input is read."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    heavy = ("dataclasses", "hashlib", "inspect", "numpy")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, plfkit.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, plfkit.cli; print([m for m in {heavy!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -195,7 +195,7 @@ def test_encode(name):
 def test_behavior_json_key_order():
     fields = ["x_values", "y_values", "a_values", "b_values",
               "friend_a", "friend_b", "read_x", "read_y"]
-    assert list(ScenarioConfig.__dataclass_fields__) == fields
+    assert list(ScenarioConfig._fields) == fields
     assert list(behavior_to_json(hardy_behavior())) == fields + ["possible"]
 
 

@@ -116,8 +116,10 @@ class TestModelJson:
         ({"worlds": ["w"], "relation": [["w", "w", "w"]], "valuation": {}}, "pair"),
         ({"worlds": ["w"], "relation": [], "valuation": {"Q": "w"}}, "world names"),
         ({"worlds": ["w"], "relation": [], "valuation": ["Q"]}, "valuation must be an object"),
+        ({"worlds": ["w"], "relation": [], "valuation": {"Q": ["w"], "Q=true": []}},
+         "atom Q more than once"),
     ], ids=["not-object", "world-not-string", "worlds-not-list", "short-pair",
-            "long-pair", "valuation-value-string", "valuation-not-object"])
+            "long-pair", "valuation-value-string", "valuation-not-object", "repeated-atom"])
     def test_malformed_shapes_rejected(self, data, message):
         with pytest.raises(ValueError, match=message):
             model_from_json(data)

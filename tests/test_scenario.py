@@ -301,3 +301,20 @@ class TestBehaviorJson:
         data["bogus"] = 1
         with pytest.raises(ValueError):
             behavior_from_json(data)
+
+    def test_consecutive_equal_configs_are_shared(self, hardy_beh):
+        data = behavior_to_json(hardy_beh)
+        all_possible = dict(data, possible=[list(c) for c in hardy_beh.config.cells()])
+        first = behavior_from_json(json.dumps(data))
+        second = behavior_from_json(json.dumps(all_possible))
+        assert second.config is first.config
+        assert second.config.wings is first.config.wings
+        # True == 1, yet the shared config does not let a bool label through
+        with pytest.raises(ValueError, match="bool"):
+            behavior_from_json(json.dumps(dict(data, read_x=True)))
+        other = behavior_from_json(json.dumps(dict(data, friend_b=False)))
+        assert other.config != first.config
+        assert other.config.wings is not first.config.wings
+        # one entry: the config read last is the one shared
+        again = behavior_from_json(json.dumps(data))
+        assert again.config == first.config and again.config is not first.config
