@@ -19,10 +19,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import kripke, plfcheck, quantum, scenario
+# Only the formula layer is imported here: each subcommand imports the modules
+# it runs, so `parse` loads no model checker and only `hardy` and `prove`
+# load the quantum layer with `fractions` and `decimal`.
 from .formula import FormulaSyntaxError, parse as parse_formula, render
-from .kripke import Model, Unsat, recheck_model, solve_depth1
-from .scenario import behavior_from_json, behavior_to_json, drop_impossibility
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -40,28 +40,30 @@ IMPOSSIBLE_CELLS = {
 class RunReport:
     def __init__(self, command: str):
         self.command = command
-        self.inputs: dict = {}
+        self.inputs: dict = {}  # path -> the bytes that were decided
         self.verdicts: dict = {}
         self.exit_code = EXIT_OK
 
     def to_json(self) -> str:
+        # imported on use: hashlib loads OpenSSL, about 3.6 MB resident, and
+        # only this report prints the digests
+        import hashlib
+        inputs = {path: hashlib.sha256(data).hexdigest() for path, data in self.inputs.items()}
         return json.dumps(
-            {"command": self.command, "inputs": self.inputs,
+            {"command": self.command, "inputs": inputs,
              "verdicts": self.verdicts, "exit_code": self.exit_code},
             indent=2, sort_keys=True)
 
 
-def _read_input(path: str) -> tuple[str, str]:
-    """Returns (text, digest) of one read, so a pipe is hashed as it was
-    read; path '-' means stdin."""
-    # imported on use: hashlib loads OpenSSL, about 3.6 MB resident, and
-    # only reading an input needs it
-    import hashlib
+def _read_input(path: str) -> tuple[str, bytes]:
+    """Returns (text, bytes) of one read, so a pipe is hashed as it was
+    read; path '-' means stdin.  Encoding stdin here keeps its errors
+    inside the caller's input-error handling."""
     if path == "-":
         text = sys.stdin.read()
-        return text, hashlib.sha256(text.encode()).hexdigest()
+        return text, text.encode()
     data = Path(path).read_bytes()
-    return data.decode(), hashlib.sha256(data).hexdigest()
+    return data.decode(), data
 
 
 class _InputError(Exception):
@@ -104,10 +106,10 @@ def cmd_parse(args) -> RunReport:
 
 
 def cmd_eval(args) -> RunReport:
+    from . import kripke
     report = RunReport(command="eval")
     try:
-        text, digest = _read_input(args.model)
-        report.inputs[args.model] = digest
+        text, report.inputs[args.model] = _read_input(args.model)
         model = kripke.model_from_json(text)
         f = parse_formula(args.formula)
     except (OSError, ValueError, FormulaSyntaxError) as exc:
@@ -127,13 +129,13 @@ def cmd_eval(args) -> RunReport:
 
 
 def cmd_check(args) -> RunReport:
+    from . import scenario
     report = RunReport(command="check")
     if args.mode == "pns" and args.out:
         raise _InputError("--out has nothing to write in --mode pns")
     try:
-        text, digest = _read_input(args.behavior)
-        report.inputs[args.behavior] = digest
-        beh = behavior_from_json(text)
+        text, report.inputs[args.behavior] = _read_input(args.behavior)
+        beh = scenario.behavior_from_json(text)
     except (OSError, ValueError, TypeError) as exc:
         raise _InputError(f"bad behavior file: {exc}") from exc
 
@@ -147,17 +149,18 @@ def cmd_check(args) -> RunReport:
                   + ("holds" if pns.holds else f"violated ({len(pns.violations)} witnesses)"))
         return report
 
+    from . import kripke, plfcheck
     verdict = plfcheck.plf_feasible(beh)
-    sat = solve_depth1(scenario.encode(beh))
-    if verdict.feasible != isinstance(sat, Model):
+    sat = kripke.solve_depth1(scenario.encode(beh))
+    if verdict.feasible != isinstance(sat, kripke.Model):
         print("internal error: table route and modal route disagree "
-              f"(table: {verdict.feasible}, modal: {isinstance(sat, Model)})",
+              f"(table: {verdict.feasible}, modal: {isinstance(sat, kripke.Model)})",
               file=sys.stderr)
         report.exit_code = EXIT_INTERNAL
         return report
 
     report.verdicts = {"feasible": verdict.feasible,
-                       "modal_satisfiable": isinstance(sat, Model)}
+                       "modal_satisfiable": isinstance(sat, kripke.Model)}
     report.exit_code = EXIT_OK if verdict.feasible else EXIT_NEGATIVE
     if args.out:
         if verdict.feasible:
@@ -179,6 +182,7 @@ def cmd_check(args) -> RunReport:
 
 
 def cmd_hardy(args) -> RunReport:
+    from . import quantum, scenario
     report = RunReport(command="hardy")
     if args.epsilon is not None:
         if not 0.0 < args.epsilon <= 1e-3:
@@ -195,7 +199,7 @@ def cmd_hardy(args) -> RunReport:
                 f"P(0,1|1,2)={fmt(table.probs[(0, 1, 1, 2)])}  "
                 f"P(1,0|2,1)={fmt(table.probs[(1, 0, 2, 1)])}  "
                 f"P(1,1|2,2)={fmt(table.probs[(1, 1, 2, 2)])}")
-    behavior = behavior_to_json(beh)
+    behavior = scenario.behavior_to_json(beh)
     probabilities = {f"a={a} b={b} x={x} y={y}": float(p)
                      for (a, b, x, y), p in sorted(table.probs.items())}
     behavior_json = json.dumps(behavior, indent=2, sort_keys=True) + "\n"
@@ -223,6 +227,7 @@ def cmd_hardy(args) -> RunReport:
 
 
 def cmd_prove(args) -> RunReport:
+    from . import kripke, plfcheck, quantum, scenario
     report = RunReport(command="prove")
     lines: list[str] = []
     ok = True
@@ -237,8 +242,8 @@ def cmd_prove(args) -> RunReport:
     ok &= pns.holds
 
     problem = scenario.encode(beh)
-    sat = solve_depth1(problem)
-    modal_unsat = isinstance(sat, Unsat)
+    sat = kripke.solve_depth1(problem)
+    modal_unsat = isinstance(sat, kripke.Unsat)
     lines.append(f"  modal route (depth-1 satisfiability): {'UNSAT' if modal_unsat else 'SAT'}")
     ok &= modal_unsat
 
@@ -262,10 +267,10 @@ def cmd_prove(args) -> RunReport:
     drops = [args.drop] if args.drop else sorted(IMPOSSIBLE_CELLS)
     relaxations = {}
     for name in drops:
-        relaxed = drop_impossibility(problem, IMPOSSIBLE_CELLS[name])
-        result = solve_depth1(relaxed)
-        is_sat = isinstance(result, Model)
-        rechecked = is_sat and recheck_model(relaxed, result.points)
+        relaxed = scenario.drop_impossibility(problem, IMPOSSIBLE_CELLS[name])
+        result = kripke.solve_depth1(relaxed)
+        is_sat = isinstance(result, kripke.Model)
+        rechecked = is_sat and kripke.recheck_model(relaxed, result.points)
         relaxations[name] = {"satisfiable": is_sat, "recheck": bool(rechecked)}
         lines.append("")
         lines.append(f"Dropping the impossibility of {name} "

@@ -14,6 +14,9 @@ from plfkit.cli import EXIT_INTERNAL, main
 from plfkit.scenario import behavior_from_json, behavior_to_json
 from plfkit.quantum import hardy_behavior
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 @pytest.fixture
 def model_file(tmp_path):
@@ -307,8 +310,7 @@ class TestBoundaryErrors:
 def test_check_digest_of_a_pipe_is_the_bytes_read(hardy_file):
     """A pipe can be read once: the report's digest must hash what was decided."""
     data = Path(hardy_file).read_bytes()
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     r, w = os.pipe()
     try:
         proc = subprocess.Popen(
@@ -325,16 +327,119 @@ def test_check_digest_of_a_pipe_is_the_bytes_read(hardy_file):
     assert report["inputs"] == {f"/dev/fd/{r}": hashlib.sha256(data).hexdigest()}
 
 
+def _cli_proc(argv, stdin=b"", env=None):
+    """(exit code, stdout, stderr) of `python -m plfkit.cli argv` fed `stdin` bytes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
+    proc = subprocess.run([sys.executable, "-m", "plfkit.cli", *argv], input=stdin,
+                          env=env, capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
 def test_cli_import_leaves_heavy_modules_out():
-    """Importing the CLI loads none of: numpy, a test-only dependency;
-    dataclasses, which pulls in inspect, ast and dis; hashlib, which loads
-    OpenSSL and is imported only when an input is read."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    """Importing the CLI loads only the formula layer and none of: numpy, a
+    test-only dependency; dataclasses, which pulls in inspect, ast and dis;
+    hashlib, which loads OpenSSL and is imported only by the --json report."""
     heavy = ("dataclasses", "hashlib", "inspect", "numpy")
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, plfkit.cli; print([m for m in {heavy!r} if m in sys.modules])"],
-        env=env, capture_output=True, text=True, timeout=60)
+         "import sys, plfkit.cli; "
+         f"print([m for m in {heavy!r} if m in sys.modules], "
+         "sorted(m for m in sys.modules if m.startswith('plfkit')))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == (
+        "[] ['plfkit', 'plfkit._record', 'plfkit.cli', 'plfkit.formula']")
+
+
+# subcommand -> (argv, exit code, the plfkit modules it loads besides
+# plfkit, plfkit._record and plfkit.formula, the heavy stdlib modules it
+# loads); the CLI itself runs as __main__, as under `python -m plfkit.cli`
+QUANTUM = {"plfkit.quantum", "plfkit.scenario", "plfkit.kripke"}
+TABLE_ROUTE = {"plfkit.kripke", "plfkit.scenario", "plfkit.plfcheck"}
+IMPORT_GRAPH = {
+    "parse": (["parse", "A"], 0, set(), set()),
+    "eval": (["eval", "{model}", "w0", "<>Q"], 0, {"plfkit.kripke"}, set()),
+    "eval --json": (["eval", "{model}", "w0", "<>Q", "--json"], 0, {"plfkit.kripke"},
+                    {"hashlib"}),
+    "check --mode pns": (["check", "{hardy}", "--mode", "pns"], 0,
+                         {"plfkit.kripke", "plfkit.scenario"}, set()),
+    "check": (["check", "{hardy}"], 1, TABLE_ROUTE, set()),
+    "check --json": (["check", "{hardy}", "--json"], 1, TABLE_ROUTE, {"hashlib"}),
+    "hardy": (["hardy"], 0, QUANTUM, {"fractions", "decimal"}),
+    "prove": (["prove"], 0, QUANTUM | {"plfkit.plfcheck"}, {"fractions", "decimal"}),
+}
+
+
+@pytest.mark.parametrize("sub", list(IMPORT_GRAPH))
+def test_subcommand_import_graph(sub, model_file, hardy_file):
+    """Each subcommand loads exactly the plfkit modules it runs, and only a
+    --json report loads hashlib."""
+    argv, code, modules, stdlib = IMPORT_GRAPH[sub]
+    argv = [a.format(model=model_file, hardy=hardy_file) for a in argv]
+    script = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['plfkit', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('plfkit.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('plfkit')),\n"
+        "                  [m for m in ('hashlib', 'fractions', 'decimal') if m in sys.modules]]),\n"
+        "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], stdin=subprocess.DEVNULL,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    got_code, loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
+    assert got_code == code, proc.stderr
+    assert set(loaded) == {"plfkit", "plfkit._record", "plfkit.formula"} | modules
+    assert set(heavy) == stdlib
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_check_json_digest(source):
+    """`check --json` prints the sha256 of the bytes it decided, from a file or
+    a pipe; on a pipe the report is the pinned golden, digest included."""
+    path = GOLDEN / "inputs" / "pns_2x2.json"
+    arg = str(path) if source == "file" else "-"
+    code, out, err = _cli_proc(["check", "--mode", "pns", "--json", arg],
+                               stdin=path.read_bytes() if source == "stdin" else b"")
+    assert code == 1, err
+    assert json.loads(out)["inputs"] == {arg: _digest(path)}
+    if source == "stdin":
+        assert out == (GOLDEN / "pns_2x2_json.stdout").read_text()
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_eval_json_digest(model_file, source):
+    arg = model_file if source == "file" else "-"
+    code, out, err = _cli_proc(["eval", arg, "w0", "<>Q", "--json"],
+                               stdin=Path(model_file).read_bytes() if source == "stdin" else b"")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["verdicts"]["result"] is True
+    assert report["inputs"] == {arg: _digest(model_file)}
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("sub", ["check", "eval"])
+def test_stdin_not_utf8_is_an_input_error(sub, json_flag, errors):
+    """A byte that is not UTF-8 inside a label or world name on stdin exits 2
+    with one line, whether stdin decoding fails or escapes it to a surrogate
+    that a later encode would trip over."""
+    if sub == "check":
+        data = _relabel_a0(behavior_to_json(hardy_behavior()), "LABEL")
+        argv = ["check", "-"]
+    else:
+        data = {"worlds": ["LABEL", "w1"], "relation": [["LABEL", "w1"]], "valuation": {}}
+        argv = ["eval", "-", "LABEL", "<>Q"]
+    stdin = json.dumps(data).encode().replace(b"LABEL", b"a\xffb")
+    code, out, err = _cli_proc(argv + json_flag, stdin=stdin,
+                               env={"PYTHONIOENCODING": f"utf-8:{errors}"})
+    assert (code, out) == (2, ""), err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "utf-8" in lines[0], err
