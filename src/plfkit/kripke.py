@@ -10,7 +10,10 @@ ext(phi); []phi at every world but those whose successor mask meets the
 complement of ext(phi), so dead ends make every []phi true and every <>phi
 false.  evaluate and valid read one extension; they share no code with the
 depth-1 solver below, so recheck_model is an independent check of its
-models.
+models.  A formula may hold one And node in many places (encode shares
+event chains across clauses), so each distinct And node, told apart by
+id(), is labelled once per model: once per call of evaluate or valid, once
+per recheck_model over all its clauses.
 
 A depth-1 problem is a conjunction of constraints evaluated at a single
 reference world w0, each of one of the shapes
@@ -33,8 +36,9 @@ consequent has no remaining witness.
 Building a Depth1Problem compiles it: one walk over each clause body
 yields the bitmask of the grid points where the body holds, and that walk
 is also the fragment check (no modal operator in a body, no variable
-outside atom_domains).  solve_depth1 only deflates the stored masks, and
-builds a point only for the grid bits that its result lists.
+outside atom_domains).  It too compiles each distinct And node once per
+problem.  solve_depth1 only deflates the stored masks, and builds a point
+only for the grid bits that its result lists.
 """
 
 from __future__ import annotations
@@ -100,59 +104,84 @@ class KripkeModel(Record):
     valuation: Mapping[Atom, frozenset]
 
     def __post_init__(self):
+        relation = self.relation
+        # a frozenset of tuples, as points_to_model builds, is kept as it is
+        if not (type(relation) is frozenset and all(type(p) is tuple for p in relation)):
+            relation = frozenset(tuple(p) for p in relation)
         object.__setattr__(self, "worlds", frozenset(self.worlds))
-        object.__setattr__(self, "relation", frozenset(tuple(p) for p in self.relation))
+        object.__setattr__(self, "relation", relation)
         object.__setattr__(
             self, "valuation",
             {atom: frozenset(ws) for atom, ws in self.valuation.items()},
         )
         if not self.worlds:
             raise ValueError("worlds must be nonempty")
+        # the worlds numbered once, in any order: names need only be hashable
+        bit = {w: 1 << i for i, w in enumerate(self.worlds)}
+        succ: dict = {}
         for (u, v) in self.relation:
-            if u not in self.worlds or v not in self.worlds:
+            if u not in bit or v not in bit:
                 raise ValueError(f"relation pair ({u!r}, {v!r}) mentions unknown world")
+            succ[u] = succ.get(u, 0) | bit[v]
+        masks = {}
         for atom, ws in self.valuation.items():
             if not isinstance(atom, Atom):
                 raise TypeError(f"valuation key is not an Atom: {atom!r}")
             bad = ws - self.worlds
             if bad:
                 raise ValueError(f"valuation of {render(atom)} mentions unknown worlds {sorted(bad)}")
-        # the worlds numbered once, in any order: names need only be hashable
-        bit = {w: 1 << i for i, w in enumerate(self.worlds)}
-        succ: dict = {}
-        for (u, v) in self.relation:
-            succ[u] = succ.get(u, 0) | bit[v]
+            mask = 0
+            for w in ws:
+                mask |= bit[w]
+            masks[atom.variable, atom.value] = mask
         object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_full", (1 << len(bit)) - 1)
-        # a sum of distinct bits is their OR
-        object.__setattr__(self, "_masks", {(atom.variable, atom.value): sum(bit[w] for w in ws)
-                                            for atom, ws in self.valuation.items()})
+        object.__setattr__(self, "_masks", masks)
         # (world bit, successor mask) for each world with successors only
         object.__setattr__(self, "_succ", tuple((bit[u], s) for u, s in succ.items()))
 
 
-def _extension(m: KripkeModel, f: Formula) -> int:
-    """The bitmask of the worlds of m where f holds, labelled bottom-up."""
-    if isinstance(f, Atom):
+def _extension(m: KripkeModel, f: Formula, memo: dict) -> int:
+    """The bitmask of the worlds of m where f holds, labelled bottom-up.
+
+    memo maps id() of each And node labelled so far to its extension, so a
+    node shared by many formulas is labelled once; the caller keeps every
+    node it holds alive for as long as the memo lives.  One frame per
+    nesting level, so any formula parse accepts is labelled.
+    """
+    t = type(f)
+    if t is Atom:
         return m._masks.get((f.variable, f.value), 0)
-    if isinstance(f, Not):
-        return m._full ^ _extension(m, f.child)
-    if isinstance(f, And):
-        return _extension(m, f.left) & _extension(m, f.right)
-    if isinstance(f, Or):
-        return _extension(m, f.left) | _extension(m, f.right)
-    if isinstance(f, Implies):
-        return m._full ^ (_extension(m, f.left) & ~_extension(m, f.right))
-    if isinstance(f, Iff):
-        return m._full ^ _extension(m, f.left) ^ _extension(m, f.right)
-    if isinstance(f, Diamond):
+    if t is And:
+        key = id(f)
+        ext = memo.get(key)
+        if ext is None:
+            ext = memo[key] = _extension(m, f.left, memo) & _extension(m, f.right, memo)
+        return ext
+    if t is Diamond:
         # worlds with some successor in ext(child); dead ends have none
-        inside = _extension(m, f.child)
-        return sum(b for b, succ in m._succ if succ & inside)
-    if isinstance(f, Box):
+        inside = _extension(m, f.child, memo)
+        ext = 0
+        for b, succ in m._succ:
+            if succ & inside:
+                ext |= b
+        return ext
+    if t is Not:
+        return m._full ^ _extension(m, f.child, memo)
+    if t is Implies:
+        return m._full ^ (_extension(m, f.left, memo) & ~_extension(m, f.right, memo))
+    if t is Box:
         # worlds with no successor outside ext(child); dead ends qualify
-        outside = m._full ^ _extension(m, f.child)
-        return m._full ^ sum(b for b, succ in m._succ if succ & outside)
+        outside = m._full ^ _extension(m, f.child, memo)
+        ext = m._full
+        for b, succ in m._succ:
+            if succ & outside:
+                ext ^= b
+        return ext
+    if t is Or:
+        return _extension(m, f.left, memo) | _extension(m, f.right, memo)
+    if t is Iff:
+        return m._full ^ _extension(m, f.left, memo) ^ _extension(m, f.right, memo)
     raise TypeError(f"not a Formula: {f!r}")
 
 
@@ -160,12 +189,12 @@ def evaluate(m: KripkeModel, w, f: Formula) -> bool:
     """Truth of f at world w of m."""
     if w not in m.worlds:
         raise UnknownWorldError(w)
-    return bool(_extension(m, f) & m._bit[w])
+    return bool(_extension(m, f, {}) & m._bit[w])
 
 
 def valid(m: KripkeModel, f: Formula) -> bool:
     """True iff f holds at every world of m."""
-    return _extension(m, f) == m._full
+    return _extension(m, f, {}) == m._full
 
 
 # ---------------------------------------------------------------------------
@@ -363,39 +392,50 @@ def _compile(atom_domains, constraints) -> tuple[list, list, int, tuple, tuple]:
             run = ((1 << stride) - 1) << (j * stride)
             atom_masks[var, val] = atom_masks.get((var, val), 0) | run * repeat
 
+    # id() of each And node compiled so far -> its mask: encode shares
+    # chain tails, so each distinct tail is compiled once; constraints
+    # keeps every node alive while the memo lives
+    memo: dict = {}
+
     def sat(f: Formula) -> int:
-        if isinstance(f, Atom):
+        t = type(f)
+        if t is Atom:
             mask = atom_masks.get((f.variable, f.value))
             if mask is not None:
                 return mask
             if f.variable not in atom_domains:
                 raise ValueError(f"variable {f.variable} not in atom_domains")
             return 0
-        if isinstance(f, And):
-            return sat(f.left) & sat(f.right)
-        if isinstance(f, Not):
+        if t is And:
+            key = id(f)
+            mask = memo.get(key)
+            if mask is None:
+                mask = memo[key] = sat(f.left) & sat(f.right)
+            return mask
+        if t is Not:
             return full & ~sat(f.child)
-        if isinstance(f, Or):
+        if t is Or:
             return sat(f.left) | sat(f.right)
-        if isinstance(f, Implies):
+        if t is Implies:
             return (full & ~sat(f.left)) | sat(f.right)
-        if isinstance(f, Iff):
+        if t is Iff:
             return full & ~(sat(f.left) ^ sat(f.right))
-        if isinstance(f, (Diamond, Box)):
+        if t is Diamond or t is Box:
             raise FragmentError(f"modal operator inside clause body: {render(f)}")
         raise TypeError(f"not a propositional formula: {f!r}")
 
     start = full
     conds, reqs = [], []
     for c in constraints:
-        if isinstance(c, MustAll):
-            start &= sat(c.body)
-        elif isinstance(c, Forbidden):
-            start &= ~sat(c.body)
+        # the clause kinds are disjoint; Conditionals are the most numerous
+        if isinstance(c, Conditional):
+            conds.append((c, sat(c.antecedent), sat(c.consequent)))
         elif isinstance(c, Required):
             reqs.append((c, sat(c.body)))
-        elif isinstance(c, Conditional):
-            conds.append((c, sat(c.antecedent), sat(c.consequent)))
+        elif isinstance(c, Forbidden):
+            start &= ~sat(c.body)
+        elif isinstance(c, MustAll):
+            start &= sat(c.body)
         else:
             raise FragmentError(f"constraint outside the depth-1 fragment: {c!r}")
     return variables, combos, start, tuple(conds), tuple(reqs)
@@ -456,20 +496,27 @@ def points_to_model(p: Depth1Problem, points) -> KripkeModel:
     w0 itself carries the all-false valuation; no constraint of the fragment
     says anything about w0's own atoms.
     """
-    names = {pt: f"w{i + 1}" for i, pt in enumerate(sorted(points))}
-    worlds = {"w0"} | set(names.values())
-    relation = {("w0", name) for name in names.values()}
-    by_pair: dict[tuple, set] = {}
-    for pt, name in names.items():
+    points = sorted(points)
+    names = [f"w{i}" for i in range(1, len(points) + 1)]
+    by_pair: dict[tuple, list] = {}
+    for name, pt in zip(names, points):
         for pair in pt:
-            by_pair.setdefault(pair, set()).add(name)
-    valuation: dict[Atom, set] = {}
+            ws = by_pair.get(pair)
+            if ws is None:
+                by_pair[pair] = [name]
+            else:
+                ws.append(name)
+    valuation: dict[Atom, list] = {}
     for (var, val), ws in by_pair.items():
-        valuation.setdefault(Atom(var, str(val)), set()).update(ws)
-    return KripkeModel(frozenset(worlds), frozenset(relation), valuation)
+        valuation.setdefault(Atom(var, str(val)), []).extend(ws)
+    return KripkeModel(frozenset(["w0", *names]), frozenset([("w0", name) for name in names]), valuation)
 
 
 def recheck_model(p: Depth1Problem, points) -> bool:
-    """Independently verify a solve_depth1 model through the modal evaluator."""
+    """Independently verify a solve_depth1 model through the modal evaluator.
+
+    One And-node memo serves every clause: p.constraints keeps the bodies
+    alive, and clause_formula builds no And node of its own."""
     m = points_to_model(p, points)
-    return all(evaluate(m, "w0", clause_formula(c)) for c in p.constraints)
+    w0, memo = m._bit["w0"], {}
+    return all(_extension(m, clause_formula(c), memo) & w0 for c in p.constraints)

@@ -1,11 +1,16 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plfkit.formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or, parse
+from plfkit import kripke
+from plfkit.formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or, conj, parse
 from plfkit.kripke import (
     Conditional,
     Depth1Problem,
@@ -18,6 +23,7 @@ from plfkit.kripke import (
     Unsat,
     UnknownWorldError,
     UnsatCore,
+    clause_formula,
     evaluate,
     model_from_json,
     model_to_json,
@@ -26,7 +32,8 @@ from plfkit.kripke import (
     solve_depth1,
     valid,
 )
-from plfkit.scenario import drop_impossibility, encode
+from plfkit.scenario import ScenarioConfig, drop_impossibility, encode
+from conftest import random_behavior
 from oracles import naive_depth1_satisfiable, naive_evaluate, set_satisfies
 
 Q = Atom("Q")
@@ -103,6 +110,16 @@ class TestModelJson:
     def test_unknown_world_in_relation_rejected(self):
         with pytest.raises(ValueError):
             KripkeModel({"w"}, {("w", "v")}, {})
+
+    @pytest.mark.parametrize("pairs", [
+        frozenset({("u", "v"), ("v", "v")}), {("u", "v"), ("v", "v")},
+        [["u", "v"], ["v", "v"]], (p for p in [["u", "v"], ("v", "v")]),
+    ], ids=["frozenset", "set", "lists", "generator"])
+    def test_relation_pairs_become_tuples(self, pairs):
+        m = KripkeModel({"u", "v"}, pairs, {Q: ["v"]})
+        assert m.relation == frozenset({("u", "v"), ("v", "v")})
+        assert all(type(p) is tuple for p in m.relation)
+        assert evaluate(m, "u", parse("[]Q & <><>Q")) is True
 
     def test_empty_worlds_rejected(self):
         with pytest.raises(ValueError):
@@ -409,3 +426,196 @@ def test_points_to_model_builds_expected_shape():
     assert m.worlds == {"w0", "w1"}
     assert m.relation == {("w0", "w1")}
     assert evaluate(m, "w0", Diamond(Atom("Q"))) is True
+
+
+# -- nesting depth -----------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the model w0 -> w1 -> w1 with Q true at w1 only, and each shape's truth at
+# w0 for any depth n: the labelling must answer whatever parse accepts
+_DEEP_MODEL = {"worlds": ["w0", "w1"], "relation": [["w0", "w1"], ["w1", "w1"]],
+               "valuation": {"Q": ["w1"]}}
+_DEEP_SHAPES = {
+    "not": (lambda n: "~" * n + "Q", lambda n: n % 2 == 1),
+    "diamond": (lambda n: "<>" * n + "Q", lambda n: n >= 1),
+    "box": (lambda n: "[]" * n + "Q", lambda n: n >= 1),
+    "parens": (lambda n: "(" * n + "Q" + ")" * n, lambda n: False),
+    "and-chain": (lambda n: " & ".join(["<>Q"] * n), lambda n: True),
+}
+
+
+def _deepest_parsed(text_of) -> int:
+    """The largest n whose text parse accepts at this stack depth."""
+    lo, hi = 1, 8192
+    parse(text_of(lo))
+    with pytest.raises(RecursionError):
+        parse(text_of(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(text_of(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+def test_evaluate_answers_the_deepest_parsed_formula(shape, tmp_path):
+    text_of, truth = _DEEP_SHAPES[shape]
+    n = _deepest_parsed(text_of)
+    assert n > 150  # parentheses cost the parser five frames a level
+    m = model_from_json(_DEEP_MODEL)
+    f = parse(text_of(n))
+    assert evaluate(m, "w0", f) is truth(n)
+    assert valid(m, f) is (truth(n) and evaluate(m, "w1", f))
+    # a fresh process starts shallower than this test, so it parses the
+    # same text, and eval must answer it rather than report it as too deep
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_DEEP_MODEL))
+    proc = subprocess.run([sys.executable, "-m", "plfkit.cli", "eval", str(path), "w0", text_of(n)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0 if truth(n) else 1, "true\n" if truth(n) else "false\n", "")
+
+
+# -- the And-node memos ------------------------------------------------------
+
+
+def test_non_formulas_are_rejected_by_type():
+    m = two_world_chain()
+    with pytest.raises(TypeError, match=r"\Anot a Formula: 'A'\Z"):
+        evaluate(m, "w0", "A")
+    with pytest.raises(TypeError, match=r"\Anot a Formula: 'A'\Z"):
+        valid(m, And(Q, "A"))
+    with pytest.raises(TypeError, match=r"\Anot a propositional formula: 'Q'\Z"):
+        Depth1Problem({"Q": ("true", "false")}, (Required("Q"),))
+    with pytest.raises(TypeError, match=r"\Anot a propositional formula: None\Z"):
+        Depth1Problem({"Q": ("true", "false")}, (Conditional(Q, And(Q, None)),))
+
+
+def _and_nodes(f):
+    if isinstance(f, Atom):
+        return []
+    if isinstance(f, (Not, Diamond, Box)):
+        return _and_nodes(f.child)
+    return ([f] if isinstance(f, And) else []) + _and_nodes(f.left) + _and_nodes(f.right)
+
+
+def _clause_parts(c):
+    return (c.antecedent, c.consequent) if isinstance(c, Conditional) else (c.body,)
+
+
+def test_clause_formula_builds_no_and_node(hardy_beh):
+    # recheck_model's memo is keyed by id(): every And node it labels must
+    # live in p.constraints, not in a wrapper that is freed after its clause
+    for c in encode(hardy_beh).constraints + (MustAll(Q), Required(Not(Q))):
+        inside = {id(node) for part in _clause_parts(c) for node in _and_nodes(part)}
+        assert {id(node) for node in _and_nodes(clause_formula(c))} == inside
+
+
+def _grid(prob):
+    variables = sorted(prob.atom_domains)
+    return [tuple(zip(variables, combo))
+            for combo in itertools.product(*(prob.atom_domains[v] for v in variables))]
+
+
+def _shared_problem(rng, fresh_copies):
+    """Clauses whose bodies reuse a few And nodes in many places or, with
+    fresh_copies, hold structurally equal but distinct copies of them."""
+    variables = ["v0", "v1", "v2", "v3"]
+    pool = [And(_random_prop(rng, variables, 1), _random_prop(rng, variables, 1)) for _ in range(3)]
+
+    def node():
+        f = rng.choice(pool)
+        return And(f.left, f.right) if fresh_copies else f
+
+    def body():
+        ctor = rng.choice((And, Or, Implies, Iff))
+        return rng.choice((node(), ctor(node(), node()), Not(And(node(), _random_prop(rng, variables)))))
+
+    constraints = []
+    for _ in range(rng.randint(2, 8)):
+        kind = rng.choice((MustAll, Forbidden, Required, Conditional))
+        constraints.append(Conditional(body(), body()) if kind is Conditional else kind(body()))
+    return Depth1Problem({v: ("0", "1") for v in variables}, tuple(constraints))
+
+
+@pytest.mark.parametrize("fresh_copies", [False, True], ids=["shared", "equal-copies"])
+def test_memos_match_the_oracles_on_shared_and_nodes(fresh_copies):
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(80):
+        prob = _shared_problem(rng, fresh_copies)
+        assert isinstance(solve_depth1(prob), Model) == naive_depth1_satisfiable(prob)
+        grid = _grid(prob)
+        for subset in ([], grid, *([p for p in grid if rng.random() < 0.5] for _ in range(3))):
+            expected = set_satisfies(prob, [dict(p) for p in subset])
+            assert recheck_model(prob, set(subset)) is expected
+            verdicts.add(expected)
+        # one formula over every body: the evaluator's own memo at each world
+        m = points_to_model(prob, grid[::3])
+        f = conj(Diamond(part) for c in prob.constraints for part in _clause_parts(c))
+        for w in m.worlds:
+            assert evaluate(m, w, f) == naive_evaluate(m, w, f)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("size, seed", [((3, 3), 5), ((4, 2), 6)], ids=["3x3", "4x2"])
+def test_recheck_matches_set_oracle_near_the_model(size, seed):
+    settings, outcomes = size
+    rng = random.Random(seed)
+    cfg = ScenarioConfig(x_values=tuple(range(settings)), y_values=tuple(range(settings)),
+                         a_values=tuple(range(outcomes)), b_values=tuple(range(outcomes)),
+                         friend_a=True, friend_b=True, read_x=0, read_y=0)
+    checked = 0
+    while checked < 2:
+        prob = encode(random_behavior(rng, cfg, p=0.9))
+        result = solve_depth1(prob)
+        if not isinstance(result, Model) or not result.points:
+            continue
+        points = result.points
+        excluded = [pt for pt in _grid(prob) if pt not in points]
+        assert excluded  # the no-signalling-free grid is never all kept
+        # twice over one problem, alternating: no mask outlives its call
+        for subset, expected in [(points, True),
+                                 (points - {rng.choice(sorted(points))}, None),
+                                 (points | {rng.choice(excluded)}, False),
+                                 (points, True)]:
+            truth = set_satisfies(prob, [dict(pt) for pt in subset])
+            assert expected in (None, truth)
+            assert recheck_model(prob, subset) is truth
+        checked += 1
+
+
+# -- the two walks stay independent ------------------------------------------
+
+
+def _names_reached(*functions) -> set:
+    """Every name the functions' code mentions, nested code objects included,
+    following the module-level functions of plfkit.kripke that they name."""
+    names, seen = set(), set()
+    todo = [fn.__code__ for fn in functions]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        mentioned = code.co_names + code.co_varnames + code.co_freevars
+        names.update(mentioned)
+        todo += [c for c in code.co_consts if hasattr(c, "co_names")]
+        todo += [getattr(kripke, n).__code__ for n in mentioned
+                 if getattr(getattr(kripke, n, None), "__module__", None) == kripke.__name__
+                 and hasattr(getattr(kripke, n), "__code__")]
+    return names
+
+
+def test_evaluator_and_compiler_share_no_code():
+    evaluator = (kripke._extension, kripke.evaluate, kripke.valid, kripke.recheck_model,
+                 kripke.points_to_model, kripke.KripkeModel.__post_init__)
+    assert "_extension" in _names_reached(kripke.recheck_model)
+    assert not _names_reached(*evaluator) & {"_compile", "atom_masks", "_start", "_conds", "_reqs"}
+    assert "atom_masks" in _names_reached(kripke.Depth1Problem.__post_init__)
+    assert not _names_reached(kripke._compile) & {"_extension", "evaluate", "valid", "recheck_model"}
