@@ -49,10 +49,39 @@ class RunReport:
         # only this report prints the digests
         import hashlib
         inputs = {path: hashlib.sha256(data).hexdigest() for path, data in self.inputs.items()}
-        return json.dumps(
-            {"command": self.command, "inputs": inputs,
-             "verdicts": self.verdicts, "exit_code": self.exit_code},
-            indent=2, sort_keys=True)
+        return _dumps({"command": self.command, "inputs": inputs,
+                       "verdicts": self.verdicts, "exit_code": self.exit_code}, sort_keys=True)
+
+
+def _dumps(obj, sort_keys: bool = False) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=sort_keys)` for str-keyed data,
+    built without recursion: a formula's AST nests two containers a level,
+    and json's indenting encoder spends a frame on each."""
+    out, todo = [], [(obj, "")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):  # literal text
+            out.append(item)
+            continue
+        value, pad = item
+        if isinstance(value, dict) and value:
+            keys = sorted(value) if sort_keys else list(value)
+            entries = [(value[k], json.dumps(k) + ": ") for k in keys]
+            opener, closer = "{", "}"
+        elif isinstance(value, (list, tuple)) and value:
+            entries = [(v, "") for v in value]
+            opener, closer = "[", "]"
+        else:
+            out.append(json.dumps(value))
+            continue
+        inner = pad + "  "
+        out.append(opener)
+        todo.append("\n" + pad + closer)
+        for i in reversed(range(len(entries))):
+            v, key = entries[i]
+            todo.append((v, inner))
+            todo.append(("," if i else "") + "\n" + inner + key)
+    return "".join(out)
 
 
 def _read_input(path: str) -> tuple[str, bytes]:
@@ -101,7 +130,7 @@ def cmd_parse(args) -> RunReport:
     report.verdicts = {"rendered": render(f), "ast": _ast_dump(f)}
     if not args.json:
         print(render(f))
-        print(json.dumps(_ast_dump(f), indent=2))
+        print(_dumps(_ast_dump(f)))
     return report
 
 

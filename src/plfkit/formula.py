@@ -295,28 +295,33 @@ def _prec(f: Formula) -> int:
     return _PREC_IFF
 
 
-def _wrap(f: Formula, need_parens: bool) -> str:
-    s = render(f)
+def _wrap(s: str, need_parens: bool) -> str:
     return f"({s})" if need_parens else s
 
 
 def render(f: Formula) -> str:
-    """Minimal-parenthesization text; parse(render(f)) is structurally equal to f."""
+    """Minimal-parenthesization text; parse(render(f)) is structurally equal to f.
+
+    Each nesting level costs one frame, as it does the evaluator."""
     if isinstance(f, Atom):
         return f.variable if f.value == "true" else f"{f.variable}={f.value}"
     if isinstance(f, Not):
-        return "~" + _wrap(f.child, _prec(f.child) < _PREC_UNARY)
+        return "~" + _wrap(render(f.child), _prec(f.child) < _PREC_UNARY)
     if isinstance(f, Diamond):
-        return "<>" + _wrap(f.child, _prec(f.child) < _PREC_UNARY)
+        return "<>" + _wrap(render(f.child), _prec(f.child) < _PREC_UNARY)
     if isinstance(f, Box):
-        return "[]" + _wrap(f.child, _prec(f.child) < _PREC_UNARY)
+        return "[]" + _wrap(render(f.child), _prec(f.child) < _PREC_UNARY)
     if isinstance(f, And):
         # & parses right-nested, so a left-nested And needs parentheses
-        return _wrap(f.left, _prec(f.left) <= _PREC_AND) + " & " + _wrap(f.right, _prec(f.right) < _PREC_AND)
+        return (_wrap(render(f.left), _prec(f.left) <= _PREC_AND) + " & "
+                + _wrap(render(f.right), _prec(f.right) < _PREC_AND))
     if isinstance(f, Or):
-        return _wrap(f.left, _prec(f.left) <= _PREC_OR) + " | " + _wrap(f.right, _prec(f.right) < _PREC_OR)
+        return (_wrap(render(f.left), _prec(f.left) <= _PREC_OR) + " | "
+                + _wrap(render(f.right), _prec(f.right) < _PREC_OR))
     if isinstance(f, Implies):
-        return _wrap(f.left, _prec(f.left) <= _PREC_IMPLIES) + " -> " + _wrap(f.right, _prec(f.right) < _PREC_IMPLIES)
+        return (_wrap(render(f.left), _prec(f.left) <= _PREC_IMPLIES) + " -> "
+                + _wrap(render(f.right), _prec(f.right) < _PREC_IMPLIES))
     if isinstance(f, Iff):
-        return _wrap(f.left, _prec(f.left) < _PREC_IFF) + " <-> " + _wrap(f.right, _prec(f.right) <= _PREC_IFF)
+        return (_wrap(render(f.left), _prec(f.left) < _PREC_IFF) + " <-> "
+                + _wrap(render(f.right), _prec(f.right) <= _PREC_IFF))
     raise TypeError(f"not a Formula: {f!r}")

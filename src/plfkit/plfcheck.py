@@ -15,6 +15,7 @@ the behavior is feasible iff the slice maxima jointly cover it.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping, Optional
 
 from ._record import Record
@@ -120,16 +121,34 @@ def _cd_label(cfg: ScenarioConfig, c, d) -> str:
                      if wing.friend) or "no friends"
 
 
+def _cells_of(cells: tuple, mask: int) -> tuple:
+    """The cells whose bits `mask` sets, in config order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(cells[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def _possible_mask(beh: Behavior) -> int:
+    bit = beh.config.cell_index.bit
+    return sum(compress(bit.values(), map(beh.possible.__getitem__, bit)))
+
+
 def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
     """Greatest sub-table of the behavior valid for friend records (c, d).
 
     Starts from the behavior masked by the reading constraints, then zeroes
     the witnessed side of any cross-setting marginal mismatch until a
     fixpoint.  Valid sub-tables are union-closed, so the fixpoint is the
-    union of them all.
+    union of them all.  The slice is kept as a mask over the config's
+    `cell_index` and decoded to cells for the record; the mask is also
+    stored on the result as `_mask`.
     """
     cfg = beh.config
-    cells = dict(beh.possible)
+    index = cfg.cell_index
+    mask = _possible_mask(beh)
     steps: list[RemovalStep] = []
 
     for wing, record in zip(cfg.wings, (c, d)):
@@ -140,15 +159,16 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
                              "is set, else None")
         if not wing.friend:
             continue
-        i, read = wing.index, wing.read
-        killed = tuple(cell for cell in cfg.cells()
-                       if cell[i + 2] == read and cell[i] != record and cells[cell])
+        events = index.events[wing.index]
+        # the read setting's cells whose outcome is not the record
+        off_record = sum(col for o in wing.outcomes if o != record
+                         for col in events[(o, wing.read)].values())
+        killed = mask & off_record
         if killed:
-            for cell in killed:
-                cells[cell] = False
+            mask ^= killed
             steps.append(RemovalStep(
-                "reading", killed,
-                f"at {wing.setting}={read} {wing.name} reads {wing.record}={record}, "
+                "reading", _cells_of(index.cells, killed),
+                f"at {wing.setting}={wing.read} {wing.name} reads {wing.record}={record}, "
                 f"so {wing.outcome}={record} is forced",
             ))
 
@@ -160,24 +180,26 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
         # an event's possibility must not depend on the other party's setting;
         # Bob's events go first, which fixes the order of the trace
         for wing, other in ((bob, alice), (alice, bob)):
-            for (outcome, setting), columns in wing.events.items():
-                marg = {s: any(cells[cell] for cell in col) for s, col in columns.items()}
-                if any(marg.values()) and not all(marg.values()):
-                    dead = next(s for s, m in marg.items() if not m)
-                    for s, col in columns.items():
-                        if marg[s]:
-                            killed = tuple(cell for cell in col if cells[cell])
-                            for cell in killed:
-                                cells[cell] = False
-                            steps.append(RemovalStep(
-                                "marginal", killed,
-                                f"({wing.outcome}={outcome}, {wing.setting}={setting}, {label}) "
-                                f"is impossible at {other.setting}={dead} "
-                                f"but was possible at {other.setting}={s}",
-                            ))
-                            changed = True
+            for (outcome, setting), columns in index.events[wing.index].items():
+                hits = [mask & col for col in columns.values()]
+                if all(hits) or not any(hits):
+                    continue
+                dead = next(s for s, hit in zip(columns, hits) if not hit)
+                for s, killed in zip(columns, hits):
+                    if killed:
+                        mask ^= killed
+                        steps.append(RemovalStep(
+                            "marginal", _cells_of(index.cells, killed),
+                            f"({wing.outcome}={outcome}, {wing.setting}={setting}, {label}) "
+                            f"is impossible at {other.setting}={dead} "
+                            f"but was possible at {other.setting}={s}",
+                        ))
+                changed = True
 
-    return SliceTable(cd=(c, d), cells=cells, steps=tuple(steps))
+    sl = SliceTable((c, d), {cell: (mask & b) != 0 for cell, b in index.bit.items()},
+                    tuple(steps))
+    object.__setattr__(sl, "_mask", mask)
+    return sl
 
 
 def plf_feasible(beh: Behavior) -> Verdict:
@@ -185,17 +207,18 @@ def plf_feasible(beh: Behavior) -> Verdict:
     cfg = beh.config
     slices = {cd: maximal_subtable(beh, *cd) for cd in cd_values(cfg)}
 
-    uncovered = [cell for cell in cfg.cells()
-                 if beh.possible[cell] and not any(s.cells[cell] for s in slices.values())]
+    covered = 0
+    for sl in slices.values():
+        covered |= sl._mask
+    uncovered = _possible_mask(beh) & ~covered
     if not uncovered:
         entries = {(a, b, c, d, x, y): v
                    for (c, d), sl in slices.items() for (a, b, x, y), v in sl.cells.items()}
         return Verdict(True, ExtendedTable(cfg, entries), None)
 
-    target = uncovered[0]
+    target = cfg.cell_index.cells[(uncovered & -uncovered).bit_length() - 1]
     branches = []
-    for cd in cd_values(cfg):
-        sl = slices[cd]
+    for cd, sl in slices.items():
         branch: list[RemovalStep] = []
         for step in sl.steps:
             branch.append(step)

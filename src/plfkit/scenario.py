@@ -21,6 +21,7 @@ from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required
 __all__ = [
     "ScenarioConfig",
     "Wing",
+    "CellIndex",
     "Behavior",
     "PnsReport",
     "check_pns",
@@ -50,6 +51,18 @@ class Wing(NamedTuple):
     outcomes: tuple  # the outcome labels, which are also the record labels
     settings: tuple  # the party's setting labels
     events: dict
+
+
+class CellIndex(NamedTuple):
+    """The cells of a config as the bits of an int, for the table route.
+
+    A set of cells is the sum of their bits; cell i of `cells` has the bit
+    1 << i, so reading a mask's bits from the lowest gives config order.
+    """
+
+    cells: tuple  # the cells in config order
+    bit: dict  # cell -> its bit, in config order
+    events: tuple  # per wing, its `events` with each column as the mask of its cells
 
 
 class ScenarioConfig(Record):
@@ -110,6 +123,16 @@ class ScenarioConfig(Record):
                  {(b, y): {x: [(a, b, x, y) for a in self.a_values] for x in self.x_values}
                   for b in self.b_values for y in self.y_values}),
         )
+
+    @cached_property
+    def cell_index(self) -> CellIndex:
+        """The `CellIndex` of this config, built once per config."""
+        cells = tuple(self.cells())
+        bit = {cell: 1 << i for i, cell in enumerate(cells)}
+        return CellIndex(cells, bit, tuple(
+            {event: {s: sum(map(bit.__getitem__, col)) for s, col in columns.items()}
+             for event, columns in wing.events.items()}
+            for wing in self.wings))
 
 
 class Behavior(Record):

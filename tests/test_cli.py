@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from plfkit import plfcheck
 from plfkit.cli import EXIT_INTERNAL, main
@@ -304,6 +306,102 @@ class TestBoundaryErrors:
         path.write_text(json.dumps(edit(behavior_to_json(hardy_behavior()))))
         assert main(["check", str(path)]) == 2
         assert fault in assert_one_line_error(capsys)
+
+
+# -- fuzzing the behavior file ------------------------------------------------
+
+_HARDY_DOC = behavior_to_json(hardy_behavior())
+_LABEL_FIELDS = ("x_values", "y_values", "a_values", "b_values")
+_MARK = "\x00raw{}"  # a string value that the file's text replaces by `_Raw` text
+
+_json_leaf = (st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([2, "1", "A B"])
+              | st.sampled_from([10 ** 20, -(10 ** 30)]) | st.floats() | st.text(max_size=3))
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+
+
+class _Raw(str):
+    """JSON text that the file holds as written: NaN, an int past the digit
+    limit, deep nesting."""
+
+
+_raw_text = st.sampled_from(["NaN", "-Infinity", "1" + "0" * 5000, "1e400",
+                             "[" * 5000 + "]" * 5000, "[" * 100_000]).map(_Raw)
+_edit = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(sorted(_HARDY_DOC))),
+    st.tuples(st.just("set"), st.sampled_from(sorted(_HARDY_DOC) + ["extra"]), _json_value),
+    st.tuples(st.just("raw"), st.sampled_from(sorted(_HARDY_DOC)), _raw_text),
+    st.tuples(st.just("label"), st.sampled_from(_LABEL_FIELDS), st.integers(0, 1),
+              _json_leaf | _raw_text),
+    st.tuples(st.just("duplicate"), st.sampled_from(_LABEL_FIELDS)),
+    st.tuples(st.just("cell"), st.integers(0, 99), st.integers(0, 4), _json_leaf | _raw_text),
+    st.tuples(st.just("cell-copy"), st.integers(0, 99)),
+    st.tuples(st.just("cell-drop"), st.integers(0, 99)),
+)
+
+
+def _behavior_text(edits, top) -> str:
+    """The Hardy behavior file with the edits applied, or `top` as the whole file."""
+    if top is not None:
+        return json.dumps(top)
+    doc = json.loads(json.dumps(_HARDY_DOC))
+    raw = []
+
+    def value(v):
+        if isinstance(v, _Raw):
+            raw.append(v)
+            return _MARK.format(len(raw) - 1)
+        return v
+
+    for kind, *args in edits:
+        cells = doc.get("possible")
+        if kind == "drop":
+            doc.pop(args[0], None)
+        elif kind in ("set", "raw"):
+            doc[args[0]] = value(args[1])
+        elif kind in ("label", "duplicate"):
+            labels = doc.get(args[0])
+            if isinstance(labels, list) and labels and kind == "label":
+                labels[args[1] % len(labels)] = value(args[2])
+            elif isinstance(labels, list) and labels:
+                labels.append(labels[0])
+        elif isinstance(cells, list) and cells and isinstance(cells[args[0] % len(cells)], list):
+            i = args[0] % len(cells)
+            if kind == "cell" and args[1] < len(cells[i]):
+                cells[i][args[1]] = value(args[2])
+            elif kind == "cell":
+                cells[i].append(value(args[2]))
+            elif kind == "cell-copy":
+                cells.append(list(cells[i]))
+            elif kind == "cell-drop":
+                del cells[i]
+    text = json.dumps(doc)
+    for i, r in enumerate(raw):
+        text = text.replace(json.dumps(_MARK.format(i)), r)
+    return text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edits=st.lists(_edit, min_size=1, max_size=3),
+       top=st.none() | st.none() | st.none() | _json_value)
+def test_check_fuzzed_behavior_file(tmp_path_factory, edits, top):
+    path = tmp_path_factory.mktemp("fuzz") / "behavior.json"
+    path.write_text(_behavior_text(edits, top))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
+        assert out.getvalue().startswith("possibilistic local friendliness: ")
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

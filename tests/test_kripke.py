@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plfkit import kripke
-from plfkit.formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or, conj, parse
+from plfkit.formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or, conj, parse, render
 from plfkit.kripke import (
     Conditional,
     Depth1Problem,
@@ -479,6 +480,46 @@ def test_evaluate_answers_the_deepest_parsed_formula(shape, tmp_path):
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0 if truth(n) else 1, "true\n" if truth(n) else "false\n", "")
+
+
+def _same_tree(f, g) -> bool:
+    """Structural equality without recursion; `==` on formula records spends
+    several frames a level."""
+    todo = [(f, g)]
+    while todo:
+        f, g = todo.pop()
+        if type(f) is not type(g):
+            return False
+        if isinstance(f, Atom):
+            if f != g:
+                return False
+        elif isinstance(f, (Not, Diamond, Box)):
+            todo.append((f.child, g.child))
+        else:
+            todo += [(f.left, g.left), (f.right, g.right)]
+    return True
+
+
+@pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+def test_parse_echoes_the_deepest_parsed_formula(shape):
+    text_of, _ = _DEEP_SHAPES[shape]
+    n = _deepest_parsed(text_of)
+    f = parse(text_of(n))
+    assert _same_tree(parse(render(f)), f)
+    assert not _same_tree(parse(render(f)), parse(text_of(n - 1))) or shape == "parens"
+    # a fresh process renders the formula and dumps its AST, in text and (for
+    # one shape: the and-chain's AST text runs to tens of MB) as the --json
+    # report, rather than report it as too deep
+    for json_flag in ([], ["--json"]) if shape == "not" else ([],):
+        proc = subprocess.run([sys.executable, "-m", "plfkit.cli", "parse", *json_flag,
+                               text_of(n)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # json.loads of the whole report would nest as deep as the AST
+        rendered = (proc.stdout.split("\n", 1)[0] if not json_flag else
+                    json.loads(re.search(r'^    "rendered": (".*")$', proc.stdout, re.M)[1]))
+        assert _same_tree(parse(rendered), f)
 
 
 # -- the And-node memos ------------------------------------------------------

@@ -2,10 +2,15 @@ import random
 
 import pytest
 
+from plfkit import plfcheck, scenario
 from plfkit.kripke import Model, solve_depth1
 from plfkit.plfcheck import (
     ConfigMismatch,
     ExtendedTable,
+    ProofTrace,
+    RemovalStep,
+    SliceTable,
+    Verdict,
     cd_values,
     maximal_subtable,
     plf_feasible,
@@ -14,7 +19,8 @@ from plfkit.plfcheck import (
 )
 from plfkit.scenario import Behavior, ScenarioConfig, check_pns, encode
 from conftest import random_behavior
-from oracles import DomainTooLarge, brute_force_feasible, enumerate_valid_slices, slice_cells_valid
+from oracles import (DomainTooLarge, brute_force_feasible, enumerate_valid_slices,
+                     naive_depth1_satisfiable, slice_cells_valid)
 
 BOTH_FRIENDS = ScenarioConfig(friend_a=True, friend_b=True)
 NO_FRIENDS = ScenarioConfig()
@@ -208,6 +214,26 @@ class TestRouteEquivalences:
             modal = isinstance(solve_depth1(encode(beh)), Model)
             assert table == modal
 
+    def test_three_way_agreement_beyond_2x2(self):
+        # settings x outcomes 3x3 and 4x2, both friends, random read settings;
+        # the naive oracle costs tens to hundreds of ms a behavior here
+        rng = random.Random(41)
+        verdicts = []
+        for settings, outcomes, count in [(3, 3, 2), (4, 2, 4)]:
+            for _ in range(count):
+                x, a = tuple(range(settings)), tuple(range(outcomes))
+                cfg = ScenarioConfig(x, x, a, a, True, True, rng.choice(x), rng.choice(x))
+                beh = random_behavior(rng, cfg, p=rng.choice((0.8, 0.9)))
+                problem = encode(beh)
+                table = plf_feasible(beh).feasible
+                assert isinstance(solve_depth1(problem), Model) is table
+                assert naive_depth1_satisfiable(problem) is table
+                for cd in cd_values(cfg):
+                    sl = maximal_subtable(beh, *cd)
+                    assert slice_cells_valid(beh, *cd, [cell for cell, v in sl.cells.items() if v])
+                verdicts.append((settings, table))
+        assert set(verdicts) == {(3, True), (3, False), (4, True), (4, False)}
+
     def test_friendless_reduction_to_pns(self, rng):
         for _ in range(120):
             beh = random_behavior(rng, NO_FRIENDS)
@@ -220,3 +246,176 @@ class TestRouteEquivalences:
             table = {cell: bool(bits >> i & 1) for i, cell in enumerate(cells)}
             beh = Behavior(cfg, table)
             assert plf_feasible(beh).feasible == check_pns(beh).holds
+
+
+# -- the mask deflation against the cell-dict deflation it replaced ----------
+
+
+def _reference_cd_label(cfg, c, d):
+    return ", ".join(f"{wing.record}={record}" for wing, record in zip(cfg.wings, (c, d))
+                     if wing.friend) or "no friends"
+
+
+def _reference_maximal_subtable(beh, c=None, d=None):
+    """The deflation over {cell: bool} dicts that the mask deflation replaced."""
+    cfg = beh.config
+    cells = dict(beh.possible)
+    steps = []
+    for wing, record in zip(cfg.wings, (c, d)):
+        if not wing.friend:
+            continue
+        i, read = wing.index, wing.read
+        killed = tuple(cell for cell in cfg.cells()
+                       if cell[i + 2] == read and cell[i] != record and cells[cell])
+        if killed:
+            for cell in killed:
+                cells[cell] = False
+            steps.append(RemovalStep(
+                "reading", killed,
+                f"at {wing.setting}={read} {wing.name} reads {wing.record}={record}, "
+                f"so {wing.outcome}={record} is forced",
+            ))
+    label = _reference_cd_label(cfg, c, d)
+    alice, bob = cfg.wings
+    changed = True
+    while changed:
+        changed = False
+        for wing, other in ((bob, alice), (alice, bob)):
+            for (outcome, setting), columns in wing.events.items():
+                marg = {s: any(cells[cell] for cell in col) for s, col in columns.items()}
+                if any(marg.values()) and not all(marg.values()):
+                    dead = next(s for s, m in marg.items() if not m)
+                    for s, col in columns.items():
+                        if marg[s]:
+                            killed = tuple(cell for cell in col if cells[cell])
+                            for cell in killed:
+                                cells[cell] = False
+                            steps.append(RemovalStep(
+                                "marginal", killed,
+                                f"({wing.outcome}={outcome}, {wing.setting}={setting}, {label}) "
+                                f"is impossible at {other.setting}={dead} "
+                                f"but was possible at {other.setting}={s}",
+                            ))
+                            changed = True
+    return SliceTable(cd=(c, d), cells=cells, steps=tuple(steps))
+
+
+def _reference_plf_feasible(beh):
+    cfg = beh.config
+    slices = {cd: _reference_maximal_subtable(beh, *cd) for cd in cd_values(cfg)}
+    uncovered = [cell for cell in cfg.cells()
+                 if beh.possible[cell] and not any(s.cells[cell] for s in slices.values())]
+    if not uncovered:
+        entries = {(a, b, c, d, x, y): v
+                   for (c, d), sl in slices.items() for (a, b, x, y), v in sl.cells.items()}
+        return Verdict(True, ExtendedTable(cfg, entries), None)
+    target = uncovered[0]
+    branches = []
+    for cd in cd_values(cfg):
+        branch = []
+        for step in slices[cd].steps:
+            branch.append(step)
+            if target in step.cells:
+                break
+        branches.append((cd, tuple(branch)))
+    return Verdict(False, None, ProofTrace(target_cell=target, branches=tuple(branches)))
+
+
+def _labels(rng, n, prefix):
+    return tuple(range(n)) if rng.random() < 0.5 else tuple(f"{prefix}{i}" for i in range(n))
+
+
+def _random_config(rng, friend_a, friend_b):
+    x, y = _labels(rng, rng.randint(1, 3), "x"), _labels(rng, rng.randint(1, 3), "y")
+    return ScenarioConfig(x_values=x, y_values=y,
+                          a_values=_labels(rng, rng.randint(1, 3), "a"),
+                          b_values=_labels(rng, rng.randint(1, 3), "b"),
+                          friend_a=friend_a, friend_b=friend_b,
+                          read_x=rng.choice(x), read_y=rng.choice(y))
+
+
+@pytest.mark.parametrize("friend_a, friend_b",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_mask_deflation_matches_the_cell_dict_reference(friend_a, friend_b):
+    rng = random.Random(1300 + 2 * friend_a + friend_b)
+    verdicts, kinds = set(), set()
+    for _ in range(150):
+        cfg = _random_config(rng, friend_a, friend_b)
+        beh = random_behavior(rng, cfg, p=rng.uniform(0.3, 1.0))
+        for cd in cd_values(cfg):
+            sl, ref = maximal_subtable(beh, *cd), _reference_maximal_subtable(beh, *cd)
+            assert sl == ref
+            assert list(sl.cells.items()) == list(ref.cells.items())
+            kinds.update(step.kind for step in sl.steps)
+        verdict, ref = plf_feasible(beh), _reference_plf_feasible(beh)
+        assert verdict == ref
+        if verdict.feasible:
+            assert list(verdict.witness.entries.items()) == list(ref.witness.entries.items())
+        else:
+            assert verdict.trace.to_dict() == ref.trace.to_dict()
+        verdicts.add(verdict.feasible)
+    assert verdicts == {True, False}
+    assert kinds == ({"reading", "marginal"} if friend_a or friend_b else {"marginal"})
+
+
+# -- the checks stay on cell lists; the benchmark's span stays in place --------
+
+
+def _names_reached(modules, *functions) -> set:
+    """Every name the functions' code mentions, nested code objects included,
+    following each function, method or property of `modules` whose name the
+    code mentions."""
+    follow: dict = {}
+    for mod in modules:
+        for name, value in vars(mod).items():
+            if getattr(value, "__module__", None) != mod.__name__:
+                continue
+            members = vars(value).items() if isinstance(value, type) else [(name, value)]
+            for attr, member in members:
+                fn = getattr(member, "func", None) or getattr(member, "fget", None) or member
+                if hasattr(fn, "__code__"):
+                    follow.setdefault(attr, []).append(fn.__code__)
+    names, seen = set(), set()
+    todo = [fn.__code__ for fn in functions]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        mentioned = code.co_names + code.co_varnames + code.co_freevars
+        names.update(mentioned)
+        todo += [c for c in code.co_consts if hasattr(c, "co_names")]
+        for name in mentioned:
+            todo += follow.get(name, [])
+    return names
+
+
+def test_checks_and_oracles_never_reach_the_cell_index():
+    import oracles
+    modules = (plfcheck, scenario, oracles)
+    index_names = {"cell_index", "CellIndex", "_mask", "_cells_of", "_possible_mask"}
+    assert {"cell_index", "_mask", "_possible_mask"} <= _names_reached(modules, plf_feasible)
+    deciders = (check_pns, validate_extended_table, oracles.naive_depth1_satisfiable,
+                oracles.set_satisfies, oracles.slice_cells_valid, oracles.enumerate_valid_slices,
+                oracles.brute_force_feasible, oracles.naive_evaluate)
+    reached = _names_reached(modules, *deciders)
+    assert {"wings", "events", "cells"} <= reached
+    assert not reached & index_names
+
+
+@pytest.mark.parametrize("config", [NO_FRIENDS, ScenarioConfig(friend_a=True),
+                                    ScenarioConfig(friend_b=True), BOTH_FRIENDS])
+def test_plf_feasible_deflates_each_slice_through_the_module_global(config, monkeypatch, rng):
+    # the benchmark times each slice by wrapping plfcheck.maximal_subtable
+    calls = []
+    original = plfcheck.maximal_subtable
+
+    def counting(beh, *cd):
+        calls.append(cd)
+        return original(beh, *cd)
+
+    monkeypatch.setattr(plfcheck, "maximal_subtable", counting)
+    for _ in range(10):
+        calls.clear()
+        plf_feasible(random_behavior(rng, config))
+        assert calls == cd_values(config)
