@@ -132,6 +132,7 @@ def _cells_of(cells: tuple, mask: int) -> tuple:
 
 
 def _possible_mask(beh: Behavior) -> int:
+    """The behavior's possible cells as a mask over its config's `cell_index`."""
     bit = beh.config.cell_index.bit
     return sum(compress(bit.values(), map(beh.possible.__getitem__, bit)))
 
@@ -205,6 +206,8 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
 def plf_feasible(beh: Behavior) -> Verdict:
     """Decide PLF feasibility; witness table or per-(c, d) refutation trace."""
     cfg = beh.config
+    # one call per slice through the module global, which bench/tracing.py
+    # wraps to time each slice
     slices = {cd: maximal_subtable(beh, *cd) for cd in cd_values(cfg)}
 
     covered = 0
@@ -216,7 +219,7 @@ def plf_feasible(beh: Behavior) -> Verdict:
                    for (c, d), sl in slices.items() for (a, b, x, y), v in sl.cells.items()}
         return Verdict(True, ExtendedTable(cfg, entries), None)
 
-    target = cfg.cell_index.cells[(uncovered & -uncovered).bit_length() - 1]
+    target = _cells_of(cfg.cell_index.cells, uncovered)[0]
     branches = []
     for cd, sl in slices.items():
         branch: list[RemovalStep] = []

@@ -339,7 +339,7 @@ def _random_config(rng, friend_a, friend_b):
 def test_mask_deflation_matches_the_cell_dict_reference(friend_a, friend_b):
     rng = random.Random(1300 + 2 * friend_a + friend_b)
     verdicts, kinds = set(), set()
-    for _ in range(150):
+    for _ in range(100):
         cfg = _random_config(rng, friend_a, friend_b)
         beh = random_behavior(rng, cfg, p=rng.uniform(0.3, 1.0))
         for cd in cd_values(cfg):
