@@ -302,7 +302,7 @@ def _wrap(s: str, need_parens: bool) -> str:
 def render(f: Formula) -> str:
     """Minimal-parenthesization text; parse(render(f)) is structurally equal to f.
 
-    Each nesting level costs one frame, as it does the evaluator."""
+    Each nesting level costs one frame, as it does in the evaluator."""
     if isinstance(f, Atom):
         return f.variable if f.value == "true" else f"{f.variable}={f.value}"
     if isinstance(f, Not):
