@@ -129,8 +129,8 @@ def cmd_parse(args) -> RunReport:
         raise _InputError(f"syntax error: {exc}") from exc
     report.verdicts = {"rendered": render(f), "ast": _ast_dump(f)}
     if not args.json:
-        print(render(f))
-        print(_dumps(_ast_dump(f)))
+        print(report.verdicts["rendered"])
+        print(_dumps(report.verdicts["ast"]))
     return report
 
 

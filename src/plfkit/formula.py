@@ -1,15 +1,10 @@
 """Modal propositional formulas over finite-domain atoms.
 
 Atoms are (variable, value) pairs written ``VAR=VAL``; a bare ``VAR`` is
-sugar for ``VAR=true``.  Connectives, tightest binding first:
-
-    unary   ~  <>  []
-    &
-    |
-    ->      (right-associative)
-    <->     (left-associative)
-
-The concrete grammar is documented in docs/grammar.ebnf.
+sugar for ``VAR=true``.  One table, `_CONNECTIVES`, gives each connective's
+text, precedence and nesting, tightest binding first: unary ~ <> [], then
+&, |, -> (right-nested) and <-> (left-nested).  The tokenizer, the parser
+and `render` all read it.  The grammar is in docs/grammar.ebnf.
 """
 
 from __future__ import annotations
@@ -59,14 +54,56 @@ class Atom(Formula):
         _set_value(self, value)
 
 
-class _Unary(Formula):
+class _Connective(Formula):
+    """A node with formula children: equality, hash and repr keep a stack of
+    their own, so they answer at any depth parse accepts."""
+
+    __slots__ = ()
+
+    def _preorder(self):
+        # nodes as their classes, other leaves as themselves: the classes fix
+        # the arities, so no tree's sequence is a proper prefix of another's
+        todo = [self]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, _Connective):
+                yield f.__class__
+                todo += reversed(f._values())
+            else:
+                yield f
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a == b for a, b in zip(self._preorder(), other._preorder()))
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        out, todo = [], [(self,)]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):  # literal text
+                out.append(item)
+            elif isinstance(f := item[0], _Connective):
+                out.append(f.__class__.__qualname__ + "(")
+                todo.append(")")
+                for i, name in reversed(list(enumerate(f._fields))):
+                    todo += [(getattr(f, name),), ", " * bool(i) + name + "="]
+            else:
+                out.append(repr(f))
+        return "".join(out)
+
+
+class _Unary(_Connective):
     __slots__ = _fields = ("child",)
 
     def __init__(self, child: Formula):
         _set_child(self, child)
 
 
-class _Binary(Formula):
+class _Binary(_Connective):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
@@ -113,26 +150,41 @@ class Box(_Unary):
     __slots__ = ()
 
 
-def conj(parts) -> Formula:
-    """Right-nested conjunction of one or more formulas."""
+def _fold(node, parts, name: str) -> Formula:
     parts = list(parts)
     if not parts:
-        raise ValueError("conj of no formulas")
+        raise ValueError(f"{name} of no formulas")
     out = parts[-1]
     for p in reversed(parts[:-1]):
-        out = And(p, out)
+        out = node(p, out)
     return out
+
+
+def conj(parts) -> Formula:
+    """Right-nested conjunction of one or more formulas."""
+    return _fold(And, parts, "conj")
 
 
 def disj(parts) -> Formula:
     """Right-nested disjunction of one or more formulas."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("disj of no formulas")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
+    return _fold(Or, parts, "disj")
+
+
+# each connective's node, text, precedence (higher binds tighter) and whether
+# its chains nest to the right; parse(render(f)) == f follows from this table
+_CONNECTIVES = (
+    (Not, "~", 5, True),
+    (Diamond, "<>", 5, True),
+    (Box, "[]", 5, True),
+    (And, "&", 4, True),
+    (Or, "|", 3, True),
+    (Implies, "->", 2, True),
+    (Iff, "<->", 1, False),
+)
+_SPEC = {node: (text, prec, right) for node, text, prec, right in _CONNECTIVES}
+_PREFIX = {text: node for node, text, _, _ in _CONNECTIVES if issubclass(node, _Unary)}
+_INFIX = {text: (node, prec, right) for node, text, prec, right in _CONNECTIVES
+          if issubclass(node, _Binary)}
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +201,10 @@ class FormulaSyntaxError(SyntaxError):
         self.expected = expected
 
 
+# no connective's text is a prefix of another's, so their order is free
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<iff><->)
-  | (?P<implies>->)
-  | (?P<diamond><>)
-  | (?P<box>\[\])
-  | (?P<not>~)
-  | (?P<and>&)
-  | (?P<or>\|)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<atom>[A-Za-z][A-Za-z0-9_]*(?:=[A-Za-z0-9_]+)?)
-    """,
-    re.VERBOSE,
+    r"(?P<ws>\s+)|(?P<op>" + "|".join(re.escape(text) for text in _PREFIX | _INFIX) + r")"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<atom>[A-Za-z][A-Za-z0-9_]*(?:=[A-Za-z0-9_]+)?)"
 )
 
 
@@ -182,90 +223,53 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _unexpected(token, expected: tuple[str, ...]) -> FormulaSyntaxError:
+    _, text, pos = token
+    return FormulaSyntaxError(f"unexpected token {text or '<end of input>'!r}", pos, expected)
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
 
     def advance(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind, expected):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"unexpected token {tok[1] or '<end of input>'!r}", tok[2], expected)
-        return self.advance()
-
-    # <-> binds loosest, left-associative
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        while self.peek()[0] == "iff":
-            self.advance()
-            left = Iff(left, self.parse_implies())
-        return left
-
-    # -> right-associative
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek()[0] == "implies":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        if self.peek()[0] == "or":
-            self.advance()
-            return Or(left, self.parse_or())
-        return left
-
-    def parse_and(self) -> Formula:
+    def parse_binary(self, lowest: int = 1) -> Formula:
+        """An operand, then each binary connective of precedence `lowest` or
+        tighter with its right operand: precedence climbing.  The right
+        operand starts at the threshold below which render wraps it."""
         left = self.parse_unary()
-        if self.peek()[0] == "and":
-            self.advance()
-            return And(left, self.parse_and())
+        while (op := _INFIX.get(self.tokens[self.i][1])) and op[1] >= lowest:
+            node, prec, right = op
+            self.i += 1
+            left = node(left, self.parse_binary(prec + (not right)))
         return left
 
     def parse_unary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "not":
-            self.advance()
-            return Not(self.parse_unary())
-        if kind == "diamond":
-            self.advance()
-            return Diamond(self.parse_unary())
-        if kind == "box":
-            self.advance()
-            return Box(self.parse_unary())
+        tok = kind, text, _ = self.advance()
+        if text in _PREFIX:
+            return _PREFIX[text](self.parse_unary())
         if kind == "lparen":
-            self.advance()
-            inner = self.parse_iff()
-            self.expect("rparen", (")",))
+            inner, close = self.parse_binary(), self.advance()
+            if close[0] != "rparen":
+                raise _unexpected(close, (")",))
             return inner
         if kind == "atom":
-            self.advance()
-            if "=" in text:
-                var, val = text.split("=", 1)
-                return Atom(var, val)
-            return Atom(text)
-        raise FormulaSyntaxError(
-            f"unexpected token {text or '<end of input>'!r}", pos,
-            ("~", "<>", "[]", "(", "atom"),
-        )
+            return Atom(*text.split("=", 1))
+        raise _unexpected(tok, (*_PREFIX, "(", "atom"))
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into an AST; raises FormulaSyntaxError on bad input."""
     p = _Parser(_tokenize(text))
-    f = p.parse_iff()
-    tok = p.peek()
-    if tok[0] != "eof":
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    f = p.parse_binary()
+    kind, rest, pos = p.advance()
+    if kind != "eof":
+        raise FormulaSyntaxError(f"trailing input {rest!r}", pos)
     return f
 
 
@@ -273,26 +277,11 @@ def parse(text: str) -> Formula:
 # Rendering
 # ---------------------------------------------------------------------------
 
-_PREC_ATOM = 6
-_PREC_UNARY = 5
-_PREC_AND = 4
-_PREC_OR = 3
-_PREC_IMPLIES = 2
-_PREC_IFF = 1
 
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return _PREC_ATOM
-    if isinstance(f, (Not, Diamond, Box)):
-        return _PREC_UNARY
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    return _PREC_IFF
+def _binds(f: Formula) -> int:
+    """f's precedence as an operand; an atom binds tighter than any connective."""
+    spec = _SPEC.get(f.__class__)
+    return spec[1] if spec else 6
 
 
 def _wrap(s: str, need_parens: bool) -> str:
@@ -302,26 +291,16 @@ def _wrap(s: str, need_parens: bool) -> str:
 def render(f: Formula) -> str:
     """Minimal-parenthesization text; parse(render(f)) is structurally equal to f.
 
-    Each nesting level costs one frame, as it does in the evaluator."""
+    A chain nesting to the right needs parentheses around a left operand of
+    its own precedence, and one nesting to the left around such a right
+    operand.  Each nesting level costs one frame, as it does in the evaluator."""
     if isinstance(f, Atom):
         return f.variable if f.value == "true" else f"{f.variable}={f.value}"
-    if isinstance(f, Not):
-        return "~" + _wrap(render(f.child), _prec(f.child) < _PREC_UNARY)
-    if isinstance(f, Diamond):
-        return "<>" + _wrap(render(f.child), _prec(f.child) < _PREC_UNARY)
-    if isinstance(f, Box):
-        return "[]" + _wrap(render(f.child), _prec(f.child) < _PREC_UNARY)
-    if isinstance(f, And):
-        # & parses right-nested, so a left-nested And needs parentheses
-        return (_wrap(render(f.left), _prec(f.left) <= _PREC_AND) + " & "
-                + _wrap(render(f.right), _prec(f.right) < _PREC_AND))
-    if isinstance(f, Or):
-        return (_wrap(render(f.left), _prec(f.left) <= _PREC_OR) + " | "
-                + _wrap(render(f.right), _prec(f.right) < _PREC_OR))
-    if isinstance(f, Implies):
-        return (_wrap(render(f.left), _prec(f.left) <= _PREC_IMPLIES) + " -> "
-                + _wrap(render(f.right), _prec(f.right) < _PREC_IMPLIES))
-    if isinstance(f, Iff):
-        return (_wrap(render(f.left), _prec(f.left) < _PREC_IFF) + " <-> "
-                + _wrap(render(f.right), _prec(f.right) <= _PREC_IFF))
-    raise TypeError(f"not a Formula: {f!r}")
+    spec = _SPEC.get(f.__class__)
+    if spec is None:
+        raise TypeError(f"not a Formula: {f!r}")
+    text, prec, right = spec
+    if isinstance(f, _Unary):
+        return text + _wrap(render(f.child), _binds(f.child) < prec)
+    return (_wrap(render(f.left), _binds(f.left) < prec + right) + f" {text} "
+            + _wrap(render(f.right), _binds(f.right) < prec + (not right)))

@@ -16,7 +16,6 @@ from typing import Mapping, NamedTuple
 
 from ._record import Record
 from .formula import And, Atom, Formula, Implies, conj, disj
-from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required
 
 __all__ = [
     "ScenarioConfig",
@@ -263,6 +262,7 @@ def encode(beh: Behavior) -> Depth1Problem:
     Exactly-one-value per variable is structural: every world of the search
     space is a total valuation point.
     """
+    from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required
     cfg = beh.config
     # outcomes, settings, then records: the order of atom_domains (A, B, X, Y, C, D)
     labels = {w.outcome: w.outcomes for w in cfg.wings}
@@ -305,6 +305,7 @@ def drop_impossibility(problem: Depth1Problem, cell) -> Depth1Problem:
     Used to show a single impossibility assumption is load-bearing.
     Raises if the cell is not forbidden in the problem.
     """
+    from .kripke import Depth1Problem, Forbidden
     body = cell_formula(*cell)
     kept = tuple(c for c in problem.constraints
                  if not (isinstance(c, Forbidden) and c.body == body))

@@ -406,8 +406,10 @@ def test_recheck_rejects_model_with_a_point_removed(hardy_beh):
 
 def test_union_closure_of_satisfying_sets():
     rng = random.Random(11)
-    found = 0
-    while found < 50:
+    found = draws = 0
+    while found < 50:  # 445 draws while the library is correct
+        assert draws < 5000, f"{found} of 50 satisfying pairs in {draws} draws"
+        draws += 1
         prob = _random_problem(rng)
         variables = sorted(prob.atom_domains)
         grid = [dict(zip(variables, combo))
@@ -466,7 +468,7 @@ def _deepest_parsed(text_of) -> int:
 def test_evaluate_answers_the_deepest_parsed_formula(shape, tmp_path):
     text_of, truth = _DEEP_SHAPES[shape]
     n = _deepest_parsed(text_of)
-    assert n > 150  # parentheses cost the parser five frames a level
+    assert n > 150  # parentheses cost the parser two frames a level
     m = model_from_json(_DEEP_MODEL)
     f = parse(text_of(n))
     assert evaluate(m, "w0", f) is truth(n)
@@ -483,8 +485,8 @@ def test_evaluate_answers_the_deepest_parsed_formula(shape, tmp_path):
 
 
 def _same_tree(f, g) -> bool:
-    """Structural equality without recursion; `==` on formula records spends
-    several frames a level."""
+    """Structural equality without recursion, written apart from the
+    formula classes' own `==`."""
     todo = [(f, g)]
     while todo:
         f, g = todo.pop()
@@ -498,6 +500,29 @@ def _same_tree(f, g) -> bool:
         else:
             todo += [(f.left, g.left), (f.right, g.right)]
     return True
+
+
+# each shape's repr at depth n, spelled out from the text's shape
+_Q = "Atom(variable='Q', value='true')"
+_DEEP_REPRS = {
+    "not": lambda n: "Not(child=" * n + _Q + ")" * n,
+    "diamond": lambda n: "Diamond(child=" * n + _Q + ")" * n,
+    "box": lambda n: "Box(child=" * n + _Q + ")" * n,
+    "parens": lambda n: _Q,
+    "and-chain": lambda n: f"And(left=Diamond(child={_Q}), right=" * (n - 1)
+                           + f"Diamond(child={_Q})" + ")" * (n - 1),
+}
+
+
+@pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+def test_equality_hash_and_repr_answer_the_deepest_parsed_formula(shape):
+    text_of, _ = _DEEP_SHAPES[shape]
+    n = _deepest_parsed(text_of)
+    f, again, shallower = parse(text_of(n)), parse(text_of(n)), parse(text_of(n - 1))
+    assert f == again and hash(f) == hash(again) and _same_tree(f, again)
+    assert (f == shallower) is _same_tree(f, shallower) is (shape == "parens")
+    assert len({f, again, shallower}) == (1 if shape == "parens" else 2)
+    assert repr(f) == _DEEP_REPRS[shape](n)
 
 
 @pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
@@ -611,8 +636,10 @@ def test_recheck_matches_set_oracle_near_the_model(size, seed):
     cfg = ScenarioConfig(x_values=tuple(range(settings)), y_values=tuple(range(settings)),
                          a_values=tuple(range(outcomes)), b_values=tuple(range(outcomes)),
                          friend_a=True, friend_b=True, read_x=0, read_y=0)
-    checked = 0
-    while checked < 2:
+    checked = draws = 0
+    while checked < 2:  # 3 and 8 draws while the library is correct
+        assert draws < 100, f"{checked} of 2 satisfiable problems in {draws} draws"
+        draws += 1
         prob = encode(random_behavior(rng, cfg, p=0.9))
         result = solve_depth1(prob)
         if not isinstance(result, Model) or not result.points:

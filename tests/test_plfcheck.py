@@ -168,8 +168,10 @@ class TestBruteForce:
 
 class TestValidateExtendedTable:
     def test_witness_validates(self, rng):
-        found = 0
-        while found < 20:
+        found = draws = 0
+        while found < 20:  # 36 draws while the library is correct
+            assert draws < 400, f"{found} of 20 feasible behaviors in {draws} draws"
+            draws += 1
             beh = random_behavior(rng, p=0.8)
             verdict = plf_feasible(beh)
             if verdict.feasible:
