@@ -55,8 +55,8 @@ class Atom(Formula):
 
 
 class _Connective(Formula):
-    """A node with formula children: equality, hash and repr keep a stack of
-    their own, so they answer at any depth parse accepts."""
+    """A node with formula children: equality, hash, repr, copy and pickle
+    keep a stack of their own, so they answer at any depth parse accepts."""
 
     __slots__ = ()
 
@@ -94,6 +94,21 @@ class _Connective(Formula):
             else:
                 out.append(repr(f))
         return "".join(out)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the tree from its flat preorder, where
+        # Record's per-node reduction would recurse once per level
+        return _from_preorder, (tuple(self._preorder()),)
+
+
+def _from_preorder(items) -> Formula:
+    """The tree whose `_preorder()` is items, built from the last item up."""
+    stack = []
+    for item in reversed(items):
+        if isinstance(item, type) and issubclass(item, _Connective):
+            item = item(*[stack.pop() for _ in item._fields])
+        stack.append(item)
+    return stack.pop()
 
 
 class _Unary(_Connective):

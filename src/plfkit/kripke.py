@@ -13,7 +13,10 @@ depth-1 solver below, so recheck_model is an independent check of its
 models.  A formula may hold one And node in many places (encode shares
 event chains across clauses), so each distinct And node, told apart by
 id(), is labelled once per model: once per call of evaluate or valid, once
-per recheck_model over all its clauses.
+per recheck_model over all its clauses.  recheck_model labels each clause's
+bodies and applies the clause's <> or [] step at w0 through the helpers
+the evaluator uses, so it builds no clause_formula; that function remains
+the one spelling of a clause as a modal formula.
 
 A depth-1 problem is a conjunction of constraints evaluated at a single
 reference world w0, each of one of the shapes
@@ -127,13 +130,11 @@ class KripkeModel(Record):
         for atom, ws in self.valuation.items():
             if not isinstance(atom, Atom):
                 raise TypeError(f"valuation key is not an Atom: {atom!r}")
-            bad = ws - self.worlds
-            if bad:
+            if not ws <= self.worlds:
+                bad = ws - self.worlds
                 raise ValueError(f"valuation of {render(atom)} mentions unknown worlds {sorted(bad)}")
-            mask = 0
-            for w in ws:
-                mask |= bit[w]
-            masks[atom.variable, atom.value] = mask
+            # the bits are distinct, so their sum is their OR
+            masks[atom.variable, atom.value] = sum(map(bit.__getitem__, ws))
         object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_full", (1 << len(bit)) - 1)
         object.__setattr__(self, "_masks", masks)
@@ -141,13 +142,33 @@ class KripkeModel(Record):
         object.__setattr__(self, "_succ", tuple((bit[u], s) for u, s in succ.items()))
 
 
+def _diamond(m: KripkeModel, inside: int) -> int:
+    """The worlds of m with some successor in `inside`; dead ends have none."""
+    ext = 0
+    for b, succ in m._succ:
+        if succ & inside:
+            ext |= b
+    return ext
+
+
+def _box(m: KripkeModel, inside: int) -> int:
+    """The worlds of m with no successor outside `inside`; dead ends qualify."""
+    outside = m._full ^ inside
+    ext = m._full
+    for b, succ in m._succ:
+        if succ & outside:
+            ext ^= b
+    return ext
+
+
 def _extension(m: KripkeModel, f: Formula, memo: dict) -> int:
     """The bitmask of the worlds of m where f holds, labelled bottom-up.
 
     memo maps id() of each And node labelled so far to its extension, so a
     node shared by many formulas is labelled once; the caller keeps every
-    node it holds alive for as long as the memo lives.  One frame per
-    nesting level, so any formula parse accepts is labelled.
+    node it holds alive for as long as the memo lives.  An And node's atom
+    left child, as in every chain encode builds, is read in place.  One
+    frame per nesting level, so any formula parse accepts is labelled.
     """
     t = type(f)
     if t is Atom:
@@ -156,28 +177,18 @@ def _extension(m: KripkeModel, f: Formula, memo: dict) -> int:
         key = id(f)
         ext = memo.get(key)
         if ext is None:
-            ext = memo[key] = _extension(m, f.left, memo) & _extension(m, f.right, memo)
+            left = f.left
+            ext = memo[key] = (m._masks.get((left.variable, left.value), 0) if type(left) is Atom
+                               else _extension(m, left, memo)) & _extension(m, f.right, memo)
         return ext
     if t is Diamond:
-        # worlds with some successor in ext(child); dead ends have none
-        inside = _extension(m, f.child, memo)
-        ext = 0
-        for b, succ in m._succ:
-            if succ & inside:
-                ext |= b
-        return ext
+        return _diamond(m, _extension(m, f.child, memo))
     if t is Not:
         return m._full ^ _extension(m, f.child, memo)
     if t is Implies:
         return m._full ^ (_extension(m, f.left, memo) & ~_extension(m, f.right, memo))
     if t is Box:
-        # worlds with no successor outside ext(child); dead ends qualify
-        outside = m._full ^ _extension(m, f.child, memo)
-        ext = m._full
-        for b, succ in m._succ:
-            if succ & outside:
-                ext ^= b
-        return ext
+        return _box(m, _extension(m, f.child, memo))
     if t is Or:
         return _extension(m, f.left, memo) | _extension(m, f.right, memo)
     if t is Iff:
@@ -410,7 +421,10 @@ def _compile(atom_domains, constraints) -> tuple[list, list, int, tuple, tuple]:
             key = id(f)
             mask = memo.get(key)
             if mask is None:
-                mask = memo[key] = sat(f.left) & sat(f.right)
+                # an atom left child, as in every chain encode builds, read in place
+                left = f.left
+                mask = atom_masks.get((left.variable, left.value)) if type(left) is Atom else None
+                mask = memo[key] = (sat(left) if mask is None else mask) & sat(f.right)
             return mask
         if t is Not:
             return full & ~sat(f.child)
@@ -512,11 +526,29 @@ def points_to_model(p: Depth1Problem, points) -> KripkeModel:
     return KripkeModel(frozenset(["w0", *names]), frozenset([("w0", name) for name in names]), valuation)
 
 
-def recheck_model(p: Depth1Problem, points) -> bool:
-    """Independently verify a solve_depth1 model through the modal evaluator.
-
-    One And-node memo serves every clause: p.constraints keeps the bodies
-    alive, and clause_formula builds no And node of its own."""
-    m = points_to_model(p, points)
+def _clause_truths(m: KripkeModel, constraints):
+    """Each clause's truth at w0 of m, in order: the modal step of its
+    clause_formula applied to the extensions of its bodies, without building
+    that formula.  One And-node memo serves every clause, whose bodies the
+    caller keeps alive."""
     w0, memo = m._bit["w0"], {}
-    return all(_extension(m, clause_formula(c), memo) & w0 for c in p.constraints)
+    for c in constraints:
+        # the clause kinds are disjoint; Conditionals are the most numerous
+        if isinstance(c, Conditional):
+            # <>antecedent -> <>consequent
+            yield (not _diamond(m, _extension(m, c.antecedent, memo)) & w0
+                   or _diamond(m, _extension(m, c.consequent, memo)) & w0 != 0)
+        elif isinstance(c, Required):
+            yield _diamond(m, _extension(m, c.body, memo)) & w0 != 0
+        elif isinstance(c, Forbidden):
+            yield not _diamond(m, _extension(m, c.body, memo)) & w0
+        elif isinstance(c, MustAll):
+            yield _box(m, _extension(m, c.body, memo)) & w0 != 0
+        else:
+            raise TypeError(f"not a clause: {c!r}")
+
+
+def recheck_model(p: Depth1Problem, points) -> bool:
+    """Independently verify a solve_depth1 model through the modal evaluator:
+    every clause of p must hold at w0 of points_to_model(p, points)."""
+    return all(_clause_truths(points_to_model(p, points), p.constraints))

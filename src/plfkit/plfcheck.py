@@ -79,14 +79,6 @@ class ExtendedTable(Record):
     config: ScenarioConfig
     entries: Mapping[tuple, bool]
 
-    def marginal(self):
-        """OR over (c, d), as a behavior-shaped table."""
-        out = {cell: False for cell in self.config.cells()}
-        for (a, b, c, d, x, y), v in self.entries.items():
-            if v:
-                out[(a, b, x, y)] = True
-        return out
-
 
 class ProofTrace(Record):
     """Infeasibility certificate: a possible cell no slice can retain."""
@@ -254,15 +246,26 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
     if cfg != beh.config:
         raise ConfigMismatch("extended table and behavior configs differ")
 
-    cds = cd_values(cfg)
-    if set(t.entries) != {(a, b, c, d, x, y) for a, b, x, y in cfg.cells() for c, d in cds}:
+    cells, cds, entries = cfg.cells(), cd_values(cfg), t.entries
+    # as many keys as expected and each expected key there: the same key set
+    if len(entries) != len(cells) * len(cds):
         return False
 
+    marginal = dict.fromkeys(cells, False)
     for (c, d) in cds:
+        # the slice keyed like the behavior, its possible cells ORed into the marginal
+        sl = {}
+        for cell in cells:
+            a, b, x, y = cell
+            key = (a, b, c, d, x, y)
+            if key not in entries:
+                return False
+            v = sl[cell] = entries[key]
+            if v:
+                marginal[cell] = True
         for wing, record in zip(cfg.wings, (c, d)):
             for (outcome, setting), columns in wing.events.items():
-                margs = {any(t.entries[(a, b, c, d, x, y)] for a, b, x, y in col)
-                         for col in columns.values()}
+                margs = {any(map(sl.__getitem__, col)) for col in columns.values()}
                 # one value in every column; at the read setting only the record's
                 # outcome may be possible
                 if len(margs) > 1 or (True in margs and wing.friend
@@ -270,4 +273,4 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
                     return False
 
     # a Behavior has a possible cell in every context, so coverage gives the table one too
-    return t.marginal() == beh.possible
+    return marginal == beh.possible

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -34,7 +36,7 @@ from plfkit.kripke import (
     valid,
 )
 from plfkit.scenario import ScenarioConfig, drop_impossibility, encode
-from conftest import random_behavior
+from conftest import names_reached, random_behavior
 from oracles import naive_depth1_satisfiable, naive_evaluate, set_satisfies
 
 Q = Atom("Q")
@@ -547,6 +549,26 @@ def test_parse_echoes_the_deepest_parsed_formula(shape):
         assert _same_tree(parse(rendered), f)
 
 
+def _copies(x) -> list:
+    try:
+        return [copy.deepcopy(x), pickle.loads(pickle.dumps(x)), copy.copy(x)]
+    except RecursionError:
+        # a traceback a thousand frames deep takes pytest minutes to report
+        raise AssertionError("copy or pickle recursed once per nesting level") from None
+
+
+@pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+def test_copy_and_pickle_answer_the_deepest_parsed_formula(shape):
+    text_of, _ = _DEEP_SHAPES[shape]
+    n = _deepest_parsed(text_of)
+    f = parse(text_of(n))
+    for again in _copies(f):
+        assert again is not f and again == f and _same_tree(again, f)
+    # a clause holding the formula copies and pickles through it
+    for again in _copies(Required(f)):
+        assert again == Required(f) and _same_tree(again.body, f)
+
+
 # -- the And-node memos ------------------------------------------------------
 
 
@@ -575,8 +597,8 @@ def _clause_parts(c):
 
 
 def test_clause_formula_builds_no_and_node(hardy_beh):
-    # recheck_model's memo is keyed by id(): every And node it labels must
-    # live in p.constraints, not in a wrapper that is freed after its clause
+    # a clause's formula wraps its bodies as they are, so a memo keyed by
+    # id() over clause formulas finds every And node alive in p.constraints
     for c in encode(hardy_beh).constraints + (MustAll(Q), Required(Not(Q))):
         inside = {id(node) for part in _clause_parts(c) for node in _and_nodes(part)}
         assert {id(node) for node in _and_nodes(clause_formula(c))} == inside
@@ -658,32 +680,55 @@ def test_recheck_matches_set_oracle_near_the_model(size, seed):
         checked += 1
 
 
+def _satisfiable_problem(size, seed, hardy_beh):
+    """The Hardy problem without the impossibility of (1, 1, 1, 1), or the
+    first satisfiable encoding of a seeded random behavior of the given size."""
+    if size is None:
+        return drop_impossibility(encode(hardy_beh), (1, 1, 1, 1))
+    settings, outcomes = size
+    rng = random.Random(seed)
+    cfg = ScenarioConfig(x_values=tuple(range(settings)), y_values=tuple(range(settings)),
+                         a_values=tuple(range(outcomes)), b_values=tuple(range(outcomes)),
+                         friend_a=True, friend_b=True, read_x=0, read_y=0)
+    for _ in range(100):  # 2 and 1 draws while the library is correct
+        prob = encode(random_behavior(rng, cfg, p=0.9))
+        result = solve_depth1(prob)
+        if isinstance(result, Model) and result.points:
+            return prob
+    raise AssertionError(f"no satisfiable {size} problem in 100 draws")
+
+
+@pytest.mark.parametrize("size, seed", [(None, 15), ((3, 3), 5), ((4, 2), 6)],
+                         ids=["hardy", "3x3", "4x2"])
+def test_recheck_reads_each_clause_as_its_formula(size, seed, hardy_beh):
+    prob = _satisfiable_problem(size, seed, hardy_beh)
+    kinds = [type(c) for c in prob.constraints]
+    assert set(kinds) == {MustAll, Forbidden, Required, Conditional}
+    points = solve_depth1(prob).points
+    excluded = [pt for pt in _grid(prob) if pt not in points]
+    rng = random.Random(seed)
+    read = set()
+    for subset in (points, points - {rng.choice(sorted(points))}, points | {rng.choice(excluded)}):
+        m = points_to_model(prob, subset)
+        truths = list(kripke._clause_truths(m, prob.constraints))
+        assert truths == [evaluate(m, "w0", clause_formula(c)) for c in prob.constraints]
+        assert recheck_model(prob, subset) is all(truths)
+        read.update(zip(kinds, truths))
+    # every kind is read true, and the changed models make some clause false
+    assert {kind for kind, truth in read if truth} == set(kinds)
+    assert any(not truth for _, truth in read)
+
+
 # -- the two walks stay independent ------------------------------------------
 
 
-def _names_reached(*functions) -> set:
-    """Every name the functions' code mentions, nested code objects included,
-    following the module-level functions of plfkit.kripke that they name."""
-    names, seen = set(), set()
-    todo = [fn.__code__ for fn in functions]
-    while todo:
-        code = todo.pop()
-        if code in seen:
-            continue
-        seen.add(code)
-        mentioned = code.co_names + code.co_varnames + code.co_freevars
-        names.update(mentioned)
-        todo += [c for c in code.co_consts if hasattr(c, "co_names")]
-        todo += [getattr(kripke, n).__code__ for n in mentioned
-                 if getattr(getattr(kripke, n, None), "__module__", None) == kripke.__name__
-                 and hasattr(getattr(kripke, n), "__code__")]
-    return names
-
-
 def test_evaluator_and_compiler_share_no_code():
-    evaluator = (kripke._extension, kripke.evaluate, kripke.valid, kripke.recheck_model,
-                 kripke.points_to_model, kripke.KripkeModel.__post_init__)
-    assert "_extension" in _names_reached(kripke.recheck_model)
-    assert not _names_reached(*evaluator) & {"_compile", "atom_masks", "_start", "_conds", "_reqs"}
-    assert "atom_masks" in _names_reached(kripke.Depth1Problem.__post_init__)
-    assert not _names_reached(kripke._compile) & {"_extension", "evaluate", "valid", "recheck_model"}
+    evaluator = (kripke._extension, kripke._diamond, kripke._box, kripke.evaluate, kripke.valid,
+                 kripke.recheck_model, kripke._clause_truths, kripke.points_to_model,
+                 kripke.KripkeModel.__post_init__)
+    assert {"_extension", "_diamond", "_box"} <= names_reached((kripke,), kripke.recheck_model)
+    assert not names_reached((kripke,), *evaluator) & {
+        "_compile", "atom_masks", "_start", "_conds", "_reqs", "_variables", "_combos", "_points"}
+    assert "atom_masks" in names_reached((kripke,), kripke.Depth1Problem.__post_init__)
+    assert not names_reached((kripke,), kripke._compile) & {
+        "_extension", "_diamond", "_box", "_clause_truths", "evaluate", "valid", "recheck_model"}

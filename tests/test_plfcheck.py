@@ -18,7 +18,7 @@ from plfkit.plfcheck import (
     validate_extended_table,
 )
 from plfkit.scenario import Behavior, ScenarioConfig, check_pns, encode
-from conftest import random_behavior
+from conftest import names_reached, random_behavior
 from oracles import (DomainTooLarge, brute_force_feasible, enumerate_valid_slices,
                      naive_depth1_satisfiable, slice_cells_valid)
 
@@ -360,47 +360,94 @@ def test_mask_deflation_matches_the_cell_dict_reference(friend_a, friend_b):
     assert kinds == ({"reading", "marginal"} if friend_a or friend_b else {"marginal"})
 
 
+# -- the witness check against the key-set check it replaced -----------------
+
+
+def _reference_validate_extended_table(t, beh):
+    cfg = t.config
+    if cfg != beh.config:
+        raise ConfigMismatch("extended table and behavior configs differ")
+    cds = cd_values(cfg)
+    if set(t.entries) != {(a, b, c, d, x, y) for a, b, x, y in cfg.cells() for c, d in cds}:
+        return False
+    for (c, d) in cds:
+        for wing, record in zip(cfg.wings, (c, d)):
+            for (outcome, setting), columns in wing.events.items():
+                margs = {any(t.entries[(a, b, c, d, x, y)] for a, b, x, y in col)
+                         for col in columns.values()}
+                if len(margs) > 1 or (True in margs and wing.friend
+                                      and setting == wing.read and outcome != record):
+                    return False
+    # the OR over (c, d), as a behavior-shaped table
+    marginal = {cell: False for cell in cfg.cells()}
+    for (a, b, c, d, x, y), v in t.entries.items():
+        if v:
+            marginal[(a, b, x, y)] = True
+    return marginal == beh.possible
+
+
+def _mutants(rng, entries):
+    """The entries, then tables that differ from them in one way each."""
+    key = rng.choice(list(entries))
+    a, b, c, d, x, y = key
+    foreign = ("foreign", b, c, d, x, y)
+
+    def changed(drop, add):
+        out = {k: v for k, v in entries.items() if k != drop}
+        out.update(add)
+        return out
+
+    yield entries
+    yield changed(key, {})  # a dropped key
+    yield changed(key, {foreign: entries[key]})  # a foreign key, same count
+    yield changed(key, {key[:5]: entries[key]})  # a short key, same count
+    yield changed(None, {foreign: False})  # an extra key
+    if type(a) is int and a in (0, 1):  # a bool in a key equals its int
+        yield changed(key, {(bool(a), b, c, d, x, y): entries[key]})
+    # truthy and falsy values that are not bools
+    yield {k: rng.choice((1, "x")) if v else rng.choice((0, "", None)) for k, v in entries.items()}
+    flipped = rng.sample(list(entries), rng.randint(1, min(3, len(entries))))
+    yield changed(None, {k: not entries[k] for k in flipped})  # flipped cells
+    # flipped cells, written as values that are not bools
+    yield changed(None, {k: rng.choice((0, None)) if entries[k] else rng.choice((1, "x"))
+                         for k in flipped})
+
+
+@pytest.mark.parametrize("friend_a, friend_b",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_witness_check_matches_the_key_set_reference(friend_a, friend_b):
+    rng = random.Random(1500 + 2 * friend_a + friend_b)
+    verdicts = set()
+    for _ in range(60):
+        cfg = _random_config(rng, friend_a, friend_b)
+        beh = random_behavior(rng, cfg, p=rng.uniform(0.5, 1.0))
+        other = random_behavior(rng, cfg, p=rng.uniform(0.5, 1.0))
+        verdict = plf_feasible(beh)
+        # the witness, or the slice maxima that fail to cover the behavior
+        entries = verdict.witness.entries if verdict.feasible else {
+            (a, b, c, d, x, y): v for c, d in cd_values(cfg)
+            for (a, b, x, y), v in maximal_subtable(beh, c, d).cells.items()}
+        for mutant in _mutants(rng, entries):
+            t = ExtendedTable(cfg, mutant)
+            for target in (beh, other):
+                expected = _reference_validate_extended_table(t, target)
+                assert validate_extended_table(t, target) is expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 # -- the checks stay on cell lists; the benchmark's span stays in place --------
-
-
-def _names_reached(modules, *functions) -> set:
-    """Every name the functions' code mentions, nested code objects included,
-    following each function, method or property of `modules` whose name the
-    code mentions."""
-    follow: dict = {}
-    for mod in modules:
-        for name, value in vars(mod).items():
-            if getattr(value, "__module__", None) != mod.__name__:
-                continue
-            members = vars(value).items() if isinstance(value, type) else [(name, value)]
-            for attr, member in members:
-                fn = getattr(member, "func", None) or getattr(member, "fget", None) or member
-                if hasattr(fn, "__code__"):
-                    follow.setdefault(attr, []).append(fn.__code__)
-    names, seen = set(), set()
-    todo = [fn.__code__ for fn in functions]
-    while todo:
-        code = todo.pop()
-        if code in seen:
-            continue
-        seen.add(code)
-        mentioned = code.co_names + code.co_varnames + code.co_freevars
-        names.update(mentioned)
-        todo += [c for c in code.co_consts if hasattr(c, "co_names")]
-        for name in mentioned:
-            todo += follow.get(name, [])
-    return names
 
 
 def test_checks_and_oracles_never_reach_the_cell_index():
     import oracles
     modules = (plfcheck, scenario, oracles)
     index_names = {"cell_index", "CellIndex", "_mask", "_cells_of", "_possible_mask"}
-    assert {"cell_index", "_mask", "_possible_mask"} <= _names_reached(modules, plf_feasible)
+    assert {"cell_index", "_mask", "_possible_mask"} <= names_reached(modules, plf_feasible)
     deciders = (check_pns, validate_extended_table, oracles.naive_depth1_satisfiable,
                 oracles.set_satisfies, oracles.slice_cells_valid, oracles.enumerate_valid_slices,
                 oracles.brute_force_feasible, oracles.naive_evaluate)
-    reached = _names_reached(modules, *deciders)
+    reached = names_reached(modules, *deciders)
     assert {"wings", "events", "cells"} <= reached
     assert not reached & index_names
 
