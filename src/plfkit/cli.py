@@ -8,8 +8,8 @@ Subcommands:
     prove   end-to-end no-go reproduction with assumption-necessity runs
 
 Exit codes: 0 success / feasible / sat / true; 1 infeasible / unsat /
-violation / false; 2 usage or input error; 3 internal error (the table
-route and the modal route disagree).
+violation / false; 2 usage or input error; 3 internal error (the routes
+disagree, or a model prove finds fails its recheck; one line on stderr).
 """
 
 from __future__ import annotations
@@ -99,6 +99,16 @@ class _InputError(Exception):
     pass
 
 
+class _InternalError(Exception):
+    """The table route and the modal route, or a model and its recheck, disagree."""
+
+
+def _check_routes_agree(feasible: bool, satisfiable: bool) -> None:
+    if feasible != satisfiable:
+        raise _InternalError("table route and modal route disagree "
+                             f"(table: {feasible}, modal: {satisfiable})")
+
+
 def _write_output(path: Path, text: str) -> None:
     try:
         path.write_text(text)
@@ -181,13 +191,7 @@ def cmd_check(args) -> RunReport:
     from . import kripke, plfcheck
     verdict = plfcheck.plf_feasible(beh)
     sat = kripke.solve_depth1(scenario.encode(beh))
-    if verdict.feasible != isinstance(sat, kripke.Model):
-        print("internal error: table route and modal route disagree "
-              f"(table: {verdict.feasible}, modal: {isinstance(sat, kripke.Model)})",
-              file=sys.stderr)
-        report.exit_code = EXIT_INTERNAL
-        return report
-
+    _check_routes_agree(verdict.feasible, isinstance(sat, kripke.Model))
     report.verdicts = {"feasible": verdict.feasible,
                        "modal_satisfiable": isinstance(sat, kripke.Model)}
     report.exit_code = EXIT_OK if verdict.feasible else EXIT_NEGATIVE
@@ -273,15 +277,14 @@ def cmd_prove(args) -> RunReport:
     problem = scenario.encode(beh)
     sat = kripke.solve_depth1(problem)
     modal_unsat = isinstance(sat, kripke.Unsat)
-    lines.append(f"  modal route (depth-1 satisfiability): {'UNSAT' if modal_unsat else 'SAT'}")
-    ok &= modal_unsat
-
     verdict = plfcheck.plf_feasible(beh)
+    _check_routes_agree(verdict.feasible, not modal_unsat)
+    lines.append(f"  modal route (depth-1 satisfiability): {'UNSAT' if modal_unsat else 'SAT'}")
     lines.append(f"  table route (extended-table feasibility): "
                  f"{'infeasible' if not verdict.feasible else 'feasible'}")
-    ok &= not verdict.feasible
+    ok &= modal_unsat
 
-    if modal_unsat and not verdict.feasible:
+    if modal_unsat:
         a, b, x, y = verdict.trace.target_cell
         lines.append("")
         lines.append("Why no accessible-world network exists:")
@@ -299,20 +302,21 @@ def cmd_prove(args) -> RunReport:
         relaxed = scenario.drop_impossibility(problem, IMPOSSIBLE_CELLS[name])
         result = kripke.solve_depth1(relaxed)
         is_sat = isinstance(result, kripke.Model)
-        rechecked = is_sat and kripke.recheck_model(relaxed, result.points)
-        relaxations[name] = {"satisfiable": is_sat, "recheck": bool(rechecked)}
+        if is_sat and not kripke.recheck_model(relaxed, result.points):
+            raise _InternalError(f"the model without the impossibility of {name} fails its recheck")
+        relaxations[name] = {"satisfiable": is_sat, "recheck": is_sat}
         lines.append("")
         lines.append(f"Dropping the impossibility of {name} "
                      f"(A={IMPOSSIBLE_CELLS[name][0]},B={IMPOSSIBLE_CELLS[name][1]}"
                      f"|X={IMPOSSIBLE_CELLS[name][2]},Y={IMPOSSIBLE_CELLS[name][3]}): "
                      f"{'SAT' if is_sat else 'UNSAT'}"
-                     + (", witness re-verified by the evaluator" if rechecked else ""))
+                     + (", witness re-verified by the evaluator" if is_sat else ""))
         if is_sat:
             worlds = [dict(pt) for pt in sorted(result.points)]
             lines.append(f"  witness world-set ({len(worlds)} worlds):")
             for w in worlds:
                 lines.append("    (" + ", ".join(f"{k}={w[k]}" for k in sorted(w)) + ")")
-        ok &= is_sat and rechecked
+        ok &= is_sat
 
     report.verdicts = {
         "pns_holds": pns.holds,
@@ -392,6 +396,9 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except RecursionError:
         # the library's own formulas nest a few levels, so only input overflows
         print("error: input nests too deeply", file=sys.stderr)

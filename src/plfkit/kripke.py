@@ -16,7 +16,8 @@ id(), is labelled once per model: once per call of evaluate or valid, once
 per recheck_model over all its clauses.  recheck_model labels each clause's
 bodies and applies the clause's <> or [] step at w0 through the helpers
 the evaluator uses, so it builds no clause_formula; that function remains
-the one spelling of a clause as a modal formula.
+the one spelling of a clause as a modal formula.  Nor does it build a
+KripkeModel: it reads the masks those helpers use straight from the points.
 
 A depth-1 problem is a conjunction of constraints evaluated at a single
 reference world w0, each of one of the shapes
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import json
 import itertools
+from types import SimpleNamespace
 from typing import Mapping, Union
 
 from ._record import Record
@@ -107,12 +109,8 @@ class KripkeModel(Record):
     valuation: Mapping[Atom, frozenset]
 
     def __post_init__(self):
-        relation = self.relation
-        # a frozenset of tuples, as points_to_model builds, is kept as it is
-        if not (type(relation) is frozenset and all(type(p) is tuple for p in relation)):
-            relation = frozenset(tuple(p) for p in relation)
         object.__setattr__(self, "worlds", frozenset(self.worlds))
-        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "relation", frozenset(map(tuple, self.relation)))
         object.__setattr__(
             self, "valuation",
             {atom: frozenset(ws) for atom, ws in self.valuation.items()},
@@ -245,12 +243,8 @@ def model_from_json(data) -> KripkeModel:
             # "A" and "A=true" name one atom: neither may overwrite the other
             raise ValueError(f"valuation lists the atom {render(atom)} more than once")
         _check_names(worlds, f"valuation of {key}")
-        valuation[atom] = frozenset(worlds)
-    return KripkeModel(
-        worlds=frozenset(data["worlds"]),
-        relation=frozenset(tuple(p) for p in data["relation"]),
-        valuation=valuation,
-    )
+        valuation[atom] = worlds
+    return KripkeModel(worlds=data["worlds"], relation=data["relation"], valuation=valuation)
 
 
 def _check_names(names, what: str) -> None:
@@ -510,27 +504,20 @@ def points_to_model(p: Depth1Problem, points) -> KripkeModel:
     w0 itself carries the all-false valuation; no constraint of the fragment
     says anything about w0's own atoms.
     """
-    points = sorted(points)
-    names = [f"w{i}" for i in range(1, len(points) + 1)]
-    by_pair: dict[tuple, list] = {}
-    for name, pt in zip(names, points):
-        for pair in pt:
-            ws = by_pair.get(pair)
-            if ws is None:
-                by_pair[pair] = [name]
-            else:
-                ws.append(name)
-    valuation: dict[Atom, list] = {}
-    for (var, val), ws in by_pair.items():
-        valuation.setdefault(Atom(var, str(val)), []).extend(ws)
-    return KripkeModel(frozenset(["w0", *names]), frozenset([("w0", name) for name in names]), valuation)
+    names, valuation = [], {}
+    for i, pt in enumerate(sorted(points), 1):
+        name = f"w{i}"
+        names.append(name)
+        for var, val in pt:
+            valuation.setdefault(Atom(var, str(val)), []).append(name)
+    return KripkeModel(["w0", *names], [("w0", name) for name in names], valuation)
 
 
-def _clause_truths(m: KripkeModel, constraints):
+def _clause_truths(m, constraints):
     """Each clause's truth at w0 of m, in order: the modal step of its
     clause_formula applied to the extensions of its bodies, without building
-    that formula.  One And-node memo serves every clause, whose bodies the
-    caller keeps alive."""
+    that formula.  m is a KripkeModel or holds the same masks.  One And-node
+    memo serves every clause, whose bodies the caller keeps alive."""
     w0, memo = m._bit["w0"], {}
     for c in constraints:
         # the clause kinds are disjoint; Conditionals are the most numerous
@@ -549,6 +536,15 @@ def _clause_truths(m: KripkeModel, constraints):
 
 
 def recheck_model(p: Depth1Problem, points) -> bool:
-    """Independently verify a solve_depth1 model through the modal evaluator:
-    every clause of p must hold at w0 of points_to_model(p, points)."""
-    return all(_clause_truths(points_to_model(p, points), p.constraints))
+    """Independently verify a solve_depth1 model with the modal evaluator:
+    every clause of p holds at w0 of points_to_model(p, points), whose masks
+    are read off the points: w0 is bit 0, the points bits 1, 2, ... as given."""
+    masks, bit = {}, 1
+    for pt in points:
+        bit <<= 1
+        for var, val in pt:
+            key = var, str(val)
+            masks[key] = masks.get(key, 0) | bit
+    full = (bit << 1) - 1
+    m = SimpleNamespace(_bit={"w0": 1}, _full=full, _masks=masks, _succ=((1, full ^ 1),))
+    return all(_clause_truths(m, p.constraints))

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from ._record import Record
-from .formula import And, Atom, Formula, Implies, conj, disj
+from .formula import And, Atom, Implies, conj, disj
 
 __all__ = [
     "ScenarioConfig",
@@ -25,7 +25,6 @@ __all__ = [
     "PnsReport",
     "check_pns",
     "encode",
-    "cell_formula",
     "drop_impossibility",
     "behavior_from_json",
     "behavior_to_json",
@@ -239,11 +238,6 @@ def _check_label(name: str, value) -> None:
                          "(its text must be letters, digits or '_')") from None
 
 
-def cell_formula(a, b, x, y) -> Formula:
-    """The event that the superobservers see (a, b) at settings (x, y)."""
-    return conj([_atom("A", a), _atom("B", b), _atom("X", x), _atom("Y", y)])
-
-
 def encode(beh: Behavior) -> Depth1Problem:
     """The depth-1 modal problem whose satisfiability is PLF-compatibility.
 
@@ -306,7 +300,8 @@ def drop_impossibility(problem: Depth1Problem, cell) -> Depth1Problem:
     Raises if the cell is not forbidden in the problem.
     """
     from .kripke import Depth1Problem, Forbidden
-    body = cell_formula(*cell)
+    # the body as encode builds it
+    body = conj([_atom(var, v) for var, v in zip("ABXY", cell)])
     kept = tuple(c for c in problem.constraints
                  if not (isinstance(c, Forbidden) and c.body == body))
     if len(kept) != len(problem.constraints) - 1:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from plfkit import plfcheck
+from plfkit import kripke, plfcheck, scenario
 from plfkit.cli import EXIT_INTERNAL, main
 from plfkit.scenario import behavior_from_json, behavior_to_json
 from plfkit.quantum import hardy_behavior
@@ -137,11 +137,12 @@ class TestCheck:
         real = plfcheck.plf_feasible
         monkeypatch.setattr(plfcheck, "plf_feasible",
                             lambda beh: SimpleNamespace(feasible=not real(beh).feasible))
-        assert main(["check", hardy_file]) == EXIT_INTERNAL == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert "disagree" in line and "table: True" in line and "modal: False" in line
+        for json_flag in ([], ["--json"]):
+            assert main(["check", hardy_file, *json_flag]) == EXIT_INTERNAL == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert "disagree" in line and "table: True" in line and "modal: False" in line
 
     def test_stdin_pipeline(self, monkeypatch, capsys):
         assert main(["hardy"]) == 0
@@ -212,6 +213,32 @@ class TestProve:
         assert report["verdicts"]["table_infeasible"] is True
         assert all(v["satisfiable"] and v["recheck"]
                    for v in report["verdicts"]["relaxations"].values())
+
+    def test_route_disagreement_is_an_internal_error(self, monkeypatch, capsys):
+        real = plfcheck.plf_feasible
+        monkeypatch.setattr(plfcheck, "plf_feasible",
+                            lambda beh: SimpleNamespace(feasible=not real(beh).feasible))
+        for json_flag in ([], ["--json"]):
+            assert main(["prove", *json_flag]) == EXIT_INTERNAL == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert "disagree" in line and "table: True" in line and "modal: False" in line
+
+    def test_failed_recheck_is_an_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(kripke, "recheck_model", lambda p, points: False)
+        assert main(["prove", "--drop", "E4"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("internal error:") and "E4" in line and "recheck" in line
+
+    def test_unsat_relaxation_is_a_negative_verdict(self, monkeypatch, capsys):
+        # a relaxation that drops nothing stays UNSAT: the assumption is not shown load-bearing
+        monkeypatch.setattr(scenario, "drop_impossibility", lambda problem, cell: problem)
+        assert main(["prove", "--drop", "E4"]) == 1
+        out = capsys.readouterr().out
+        assert "Dropping the impossibility of E4 (A=1,B=1|X=1,Y=1): UNSAT" in out
 
 
 def _relabel_a0(data, label):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import itertools
 import json
@@ -105,6 +106,16 @@ class TestModelJson:
         m = model_from_json({"worlds": ["w0", "w1"], "relation": [["w0", "w1"]],
                              "valuation": {"A=1": ["w1"]}})
         assert evaluate(m, "w0", parse("<>A=1")) is True
+
+    def test_duplicate_worlds_and_list_pairs_give_one_model(self):
+        m = model_from_json({"worlds": ["w0", "w1", "w0"],
+                             "relation": [["w0", "w1"], ["w1", "w1"], ["w0", "w1"]],
+                             "valuation": {"Q": ["w1", "w1"], "R=2": []}})
+        assert m == KripkeModel(frozenset({"w0", "w1"}), frozenset({("w0", "w1"), ("w1", "w1")}),
+                                {Q: frozenset({"w1"}), Atom("R", "2"): frozenset()})
+        assert type(m.worlds) is frozenset and all(type(p) is tuple for p in m.relation)
+        assert model_from_json(model_to_json(m)) == m
+        assert evaluate(m, "w0", parse("<>Q & []<>Q & ~<>R=2")) is True
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -466,24 +477,36 @@ def _deepest_parsed(text_of) -> int:
     return lo
 
 
+@contextlib.contextmanager
+def _fails_if_recursing():
+    """Turns a RecursionError into a one-line failure: pytest takes minutes
+    to report a traceback a thousand frames deep."""
+    try:
+        yield
+    except RecursionError:
+        raise AssertionError("recursed once per nesting level") from None
+
+
 @pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
 def test_evaluate_answers_the_deepest_parsed_formula(shape, tmp_path):
     text_of, truth = _DEEP_SHAPES[shape]
     n = _deepest_parsed(text_of)
     assert n > 150  # parentheses cost the parser two frames a level
-    m = model_from_json(_DEEP_MODEL)
-    f = parse(text_of(n))
-    assert evaluate(m, "w0", f) is truth(n)
-    assert valid(m, f) is (truth(n) and evaluate(m, "w1", f))
-    # a fresh process starts shallower than this test, so it parses the
-    # same text, and eval must answer it rather than report it as too deep
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(_DEEP_MODEL))
-    proc = subprocess.run([sys.executable, "-m", "plfkit.cli", "eval", str(path), "w0", text_of(n)],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-                          text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (0 if truth(n) else 1, "true\n" if truth(n) else "false\n", "")
+    with _fails_if_recursing():
+        m = model_from_json(_DEEP_MODEL)
+        f = parse(text_of(n))
+        assert evaluate(m, "w0", f) is truth(n)
+        assert valid(m, f) is (truth(n) and evaluate(m, "w1", f))
+        # a fresh process starts shallower than this test, so it parses the
+        # same text, and eval must answer it rather than report it as too deep
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_DEEP_MODEL))
+        proc = subprocess.run([sys.executable, "-m", "plfkit.cli", "eval", str(path), "w0",
+                               text_of(n)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0 if truth(n) else 1, "true\n" if truth(n) else "false\n", "")
 
 
 def _same_tree(f, g) -> bool:
@@ -520,53 +543,52 @@ _DEEP_REPRS = {
 def test_equality_hash_and_repr_answer_the_deepest_parsed_formula(shape):
     text_of, _ = _DEEP_SHAPES[shape]
     n = _deepest_parsed(text_of)
-    f, again, shallower = parse(text_of(n)), parse(text_of(n)), parse(text_of(n - 1))
-    assert f == again and hash(f) == hash(again) and _same_tree(f, again)
-    assert (f == shallower) is _same_tree(f, shallower) is (shape == "parens")
-    assert len({f, again, shallower}) == (1 if shape == "parens" else 2)
-    assert repr(f) == _DEEP_REPRS[shape](n)
+    with _fails_if_recursing():
+        f, again, shallower = parse(text_of(n)), parse(text_of(n)), parse(text_of(n - 1))
+        assert f == again and hash(f) == hash(again) and _same_tree(f, again)
+        assert (f == shallower) is _same_tree(f, shallower) is (shape == "parens")
+        assert len({f, again, shallower}) == (1 if shape == "parens" else 2)
+        assert repr(f) == _DEEP_REPRS[shape](n)
 
 
 @pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
 def test_parse_echoes_the_deepest_parsed_formula(shape):
     text_of, _ = _DEEP_SHAPES[shape]
     n = _deepest_parsed(text_of)
-    f = parse(text_of(n))
-    assert _same_tree(parse(render(f)), f)
-    assert not _same_tree(parse(render(f)), parse(text_of(n - 1))) or shape == "parens"
-    # a fresh process renders the formula and dumps its AST, in text and (for
-    # one shape: the and-chain's AST text runs to tens of MB) as the --json
-    # report, rather than report it as too deep
-    for json_flag in ([], ["--json"]) if shape == "not" else ([],):
-        proc = subprocess.run([sys.executable, "-m", "plfkit.cli", "parse", *json_flag,
-                               text_of(n)],
-                              env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-                              text=True, timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        # json.loads of the whole report would nest as deep as the AST
-        rendered = (proc.stdout.split("\n", 1)[0] if not json_flag else
-                    json.loads(re.search(r'^    "rendered": (".*")$', proc.stdout, re.M)[1]))
-        assert _same_tree(parse(rendered), f)
+    with _fails_if_recursing():
+        f = parse(text_of(n))
+        assert _same_tree(parse(render(f)), f)
+        assert not _same_tree(parse(render(f)), parse(text_of(n - 1))) or shape == "parens"
+        # a fresh process renders the formula and dumps its AST, in text and (for
+        # one shape: the and-chain's AST text runs to tens of MB) as the --json
+        # report, rather than report it as too deep
+        for json_flag in ([], ["--json"]) if shape == "not" else ([],):
+            proc = subprocess.run([sys.executable, "-m", "plfkit.cli", "parse", *json_flag,
+                                   text_of(n)],
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                                  text=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            # json.loads of the whole report would nest as deep as the AST
+            rendered = (proc.stdout.split("\n", 1)[0] if not json_flag else
+                        json.loads(re.search(r'^    "rendered": (".*")$', proc.stdout, re.M)[1]))
+            assert _same_tree(parse(rendered), f)
 
 
 def _copies(x) -> list:
-    try:
-        return [copy.deepcopy(x), pickle.loads(pickle.dumps(x)), copy.copy(x)]
-    except RecursionError:
-        # a traceback a thousand frames deep takes pytest minutes to report
-        raise AssertionError("copy or pickle recursed once per nesting level") from None
+    return [copy.deepcopy(x), pickle.loads(pickle.dumps(x)), copy.copy(x)]
 
 
 @pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
 def test_copy_and_pickle_answer_the_deepest_parsed_formula(shape):
     text_of, _ = _DEEP_SHAPES[shape]
     n = _deepest_parsed(text_of)
-    f = parse(text_of(n))
-    for again in _copies(f):
-        assert again is not f and again == f and _same_tree(again, f)
-    # a clause holding the formula copies and pickles through it
-    for again in _copies(Required(f)):
-        assert again == Required(f) and _same_tree(again.body, f)
+    with _fails_if_recursing():
+        f = parse(text_of(n))
+        for again in _copies(f):
+            assert again is not f and again == f and _same_tree(again, f)
+        # a clause holding the formula copies and pickles through it
+        for again in _copies(Required(f)):
+            assert again == Required(f) and _same_tree(again.body, f)
 
 
 # -- the And-node memos ------------------------------------------------------
@@ -714,6 +736,10 @@ def test_recheck_reads_each_clause_as_its_formula(size, seed, hardy_beh):
         assert truths == [evaluate(m, "w0", clause_formula(c)) for c in prob.constraints]
         assert recheck_model(prob, subset) is all(truths)
         read.update(zip(kinds, truths))
+        # the recheck reads the points in any order, and none, as the named model
+        for given in (subset, rng.sample(sorted(subset), len(subset)), set()):
+            named = points_to_model(prob, given)
+            assert recheck_model(prob, given) is all(kripke._clause_truths(named, prob.constraints))
     # every kind is read true, and the changed models make some clause false
     assert {kind for kind, truth in read if truth} == set(kinds)
     assert any(not truth for _, truth in read)
@@ -726,7 +752,10 @@ def test_evaluator_and_compiler_share_no_code():
     evaluator = (kripke._extension, kripke._diamond, kripke._box, kripke.evaluate, kripke.valid,
                  kripke.recheck_model, kripke._clause_truths, kripke.points_to_model,
                  kripke.KripkeModel.__post_init__)
-    assert {"_extension", "_diamond", "_box"} <= names_reached((kripke,), kripke.recheck_model)
+    recheck = names_reached((kripke,), kripke.recheck_model)
+    assert {"_extension", "_diamond", "_box"} <= recheck
+    # the recheck reads the points as they are: it names and sorts no world
+    assert not recheck & {"KripkeModel", "points_to_model", "sorted"}
     assert not names_reached((kripke,), *evaluator) & {
         "_compile", "atom_masks", "_start", "_conds", "_reqs", "_variables", "_combos", "_points"}
     assert "atom_masks" in names_reached((kripke,), kripke.Depth1Problem.__post_init__)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,8 @@ from plfkit.scenario import (
 )
 from conftest import random_behavior
 from oracles import eval_prop
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def atoms_of(f: Formula) -> set[Atom]:
@@ -164,6 +167,17 @@ class TestEncode:
         assert sum(isinstance(c, Forbidden) for c in relaxed.constraints) == 2
         with pytest.raises(ValueError):
             drop_impossibility(prob, (0, 0, 1, 1))  # that cell is possible
+        # dropping any forbidden cell removes exactly its clause: encode
+        # emits one Required or Forbidden clause per cell, in cell order
+        labelled = behavior_from_json((GOLDEN / "inputs" / "infeasible_3x2.json").read_text())
+        for beh in (hardy_beh, labelled):
+            prob, cells = encode(beh), beh.config.cells()
+            forbidden = [k for k, cell in enumerate(cells) if not beh.possible[cell]]
+            assert len(forbidden) >= 3
+            for k in forbidden:
+                relaxed = drop_impossibility(prob, cells[k])
+                assert relaxed.constraints == prob.constraints[:k] + prob.constraints[k + 1:]
+                assert relaxed.atom_domains == prob.atom_domains
 
 
 def _clause_per_chain_conditionals(beh):
