@@ -251,7 +251,10 @@ def encode(beh: Behavior) -> Depth1Problem:
         so a wing's pool is every variable but its outcome and its setting
         (B, C, D, Y for X with both friends).  Only finest assignments, which
         fix every pool variable, are emitted: the clauses for partial
-        assignments follow from them (docs/feasibility.md).
+        assignments follow from them.  Nor are the finest assignments that
+        set another friend's wing to its read setting with an outcome off
+        that friend's record: the friend's reading clause leaves them no
+        point, so their clauses hold vacuously (docs/feasibility.md).
 
     Exactly-one-value per variable is structural: every world of the search
     space is a total valuation point.
@@ -265,10 +268,12 @@ def encode(beh: Behavior) -> Depth1Problem:
     atom = {(var, v): _atom(var, v) for var, vals in labels.items() for v in vals}
     domains = {var: tuple(str(v) for v in vals) for var, vals in labels.items()}
 
-    constraints: list = []
-    for cell in cfg.cells():
-        body = conj([atom[var, v] for var, v in zip("ABXY", cell)])
-        constraints.append(Required(body) if beh.possible[cell] else Forbidden(body))
+    # the cell bodies A & (B & (X & Y)) in cell order, each tail built once
+    xy = [And(atom["X", x], atom["Y", y]) for x in cfg.x_values for y in cfg.y_values]
+    bxy = [And(atom["B", b], t) for b in cfg.b_values for t in xy]
+    bodies = (And(atom["A", a], t) for a in cfg.a_values for t in bxy)
+    constraints: list = [Required(body) if beh.possible[cell] else Forbidden(body)
+                         for cell, body in zip(cfg.cells(), bodies)]
 
     for w in cfg.wings:
         if w.friend:
@@ -278,7 +283,8 @@ def encode(beh: Behavior) -> Depth1Problem:
             )))
 
     for w in cfg.wings:
-        *head, last = sorted(var for var in domains if var not in (w.outcome, w.setting))
+        pool = sorted(var for var in domains if var not in (w.outcome, w.setting))
+        first, *head, last = pool
         # (conj(event), [conj(event + [Z=z]) for z]) for each assignment to the
         # pool's tail, built from the last variable up so that every chain
         # reuses one node per distinct tail; product order is kept
@@ -287,8 +293,21 @@ def encode(beh: Behavior) -> Depth1Problem:
         for var in reversed(head):
             tails = [(And(a, event), [And(a, c) for c in cons])
                      for a in (atom[var, v] for v in labels[var]) for event, cons in tails]
-        for event, cons in tails:
-            constraints.extend(Conditional(event, c) for c in cons)
+        # an event that sets another friend's wing o to o.read with o's outcome
+        # off o's record holds at no point o's MustAll admits: its clauses hold
+        # vacuously, so its top-level chain nodes are not built
+        vacuous = [(pool.index(o.setting), pool.index(o.outcome), pool.index(o.record), o.read)
+                   for o in cfg.wings if o is not w and o.friend]
+        tail_values = list(itertools.product(*(labels[var] for var in pool[1:])))
+        for v in labels[first]:
+            a = atom[first, v]
+            for (event, cons), values in zip(tails, tail_values):
+                values = (v, *values)
+                if any(values[i] == read and values[j] != values[k]
+                       for i, j, k, read in vacuous):
+                    continue
+                event = And(a, event)
+                constraints.extend(Conditional(event, And(a, c)) for c in cons)
 
     return Depth1Problem(atom_domains=domains, constraints=tuple(constraints))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from plfkit.formula import Atom, Box, Diamond, Formula, Not, conj, render
+from plfkit.formula import And, Atom, Box, Diamond, Formula, Not, conj, render
 from plfkit.kripke import (
     Conditional,
     Depth1Problem,
@@ -14,6 +14,7 @@ from plfkit.kripke import (
     MustAll,
     Required,
     clause_formula,
+    recheck_model,
     solve_depth1,
 )
 from plfkit.scenario import (
@@ -49,6 +50,8 @@ def atoms_of(f: Formula) -> set[Atom]:
 
 BOTH_FRIENDS = ScenarioConfig(friend_a=True, friend_b=True)
 NO_FRIENDS = ScenarioConfig()
+CONFIG_3X3 = ScenarioConfig(x_values=(1, 2, 3), y_values=(1, 2, 3), a_values=(0, 1, 2),
+                            b_values=(0, 1, 2), friend_a=True, friend_b=True)
 
 
 def all_true(config=BOTH_FRIENDS):
@@ -132,8 +135,10 @@ class TestEncode:
         assert kinds[Forbidden] == 3
         assert kinds[MustAll] == 2
         # two interventions, one finest assignment per value of the four
-        # variables outside each light cone, two intervention values: 2 * 2^4 * 2
-        assert kinds[Conditional] == 64
+        # variables outside each light cone, two intervention values: 2 * 2^4 * 2,
+        # less the 2 * 4 * 2 whose event puts the other wing at its read
+        # setting with an outcome off its friend's record
+        assert kinds[Conditional] == 48
 
     def test_hardy_forbidden_cells(self, hardy_beh):
         prob = encode(hardy_beh)
@@ -160,7 +165,7 @@ class TestEncode:
     def test_deterministic(self, hardy_beh):
         assert encode(hardy_beh) == encode(hardy_beh)
 
-    def test_drop_impossibility(self, hardy_beh):
+    def test_drop_impossibility(self, hardy_beh, rng):
         prob = encode(hardy_beh)
         relaxed = drop_impossibility(prob, (1, 1, 1, 1))
         assert len(relaxed.constraints) == len(prob.constraints) - 1
@@ -168,23 +173,44 @@ class TestEncode:
         with pytest.raises(ValueError):
             drop_impossibility(prob, (0, 0, 1, 1))  # that cell is possible
         # dropping any forbidden cell removes exactly its clause: encode
-        # emits one Required or Forbidden clause per cell, in cell order
+        # emits one Required or Forbidden clause per cell, in cell order,
+        # and the cell bodies share their B & (X & Y) tails
         labelled = behavior_from_json((GOLDEN / "inputs" / "infeasible_3x2.json").read_text())
-        for beh in (hardy_beh, labelled):
+        seeded = [random_behavior(rng, CONFIG_3X3, p=rng.choice([0.5, 0.7])) for _ in range(4)]
+        for beh in (hardy_beh, labelled, *seeded):
             prob, cells = encode(beh), beh.config.cells()
             forbidden = [k for k, cell in enumerate(cells) if not beh.possible[cell]]
             assert len(forbidden) >= 3
-            for k in forbidden:
-                relaxed = drop_impossibility(prob, cells[k])
+            for k, cell in enumerate(cells):
+                if k not in forbidden:
+                    with pytest.raises(ValueError, match="not forbidden"):
+                        drop_impossibility(prob, cell)
+                    continue
+                relaxed = drop_impossibility(prob, cell)
                 assert relaxed.constraints == prob.constraints[:k] + prob.constraints[k + 1:]
                 assert relaxed.atom_domains == prob.atom_domains
+        # 81 cells over 27 B & (X & Y) tails over 9 X & Y tails
+        bodies = [c.body for c in encode(seeded[0]).constraints[:81]]
+        assert len({id(node) for f in bodies for node in _and_nodes(f)}) == 81 + 27 + 9
+
+
+def _and_nodes(f):
+    """Every And node of f, once per occurrence."""
+    stack, out = [f], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            out.append(node)
+            stack += [node.left, node.right]
+    return out
 
 
 def _clause_per_chain_conditionals(beh):
-    """encode's finest Conditionals, each built with chains of its own.
+    """Every finest Conditional of the light-cone rule, vacuous or not, each
+    built with chains of its own.
 
-    The reference for the shared chains: the same light-cone rule, with
-    every antecedent and consequent a fresh right-nested conj.
+    The full reference encoding: the same light-cone rule with no clause
+    left out, and every antecedent and consequent a fresh right-nested conj.
     """
     cfg = beh.config
     labels = {w.outcome: w.outcomes for w in cfg.wings}
@@ -207,7 +233,26 @@ def _random_labels(rng):
     return tuple(rng.sample(["u", "v", "on", "off", "k_2"], n))
 
 
+def _full_reference_problem(beh):
+    """encode's problem with every finest Conditional of the reference in
+    place of encode's own."""
+    prob = encode(beh)
+    head = tuple(c for c in prob.constraints if not isinstance(c, Conditional))
+    return Depth1Problem(prob.atom_domains, head + _clause_per_chain_conditionals(beh))
+
+
+def _admitted_points(prob):
+    """The grid points, as assignment dicts, where every MustAll body holds."""
+    variables = sorted(prob.atom_domains)
+    bodies = [c.body for c in prob.constraints if isinstance(c, MustAll)]
+    grid = (dict(zip(variables, combo))
+            for combo in itertools.product(*(prob.atom_domains[v] for v in variables)))
+    return [p for p in grid if all(eval_prop(body, p) for body in bodies)]
+
+
 def test_encode_conditionals_match_clause_per_chain_builder(rng):
+    # encode emits a finest event's clauses exactly when some grid point
+    # satisfies the event and every MustAll body, in the reference's order
     for friend_a, friend_b in itertools.product((False, True), repeat=2):
         for _ in range(10):
             xs, ys = _random_labels(rng), _random_labels(rng)
@@ -217,11 +262,17 @@ def test_encode_conditionals_match_clause_per_chain_builder(rng):
                                  read_x=rng.choice(xs), read_y=rng.choice(ys))
             beh = random_behavior(rng, cfg, p=rng.choice([0.5, 0.9]))
             constraints = encode(beh).constraints
-            expected = _clause_per_chain_conditionals(beh)
+            full = _full_reference_problem(beh)
+            admitted = _admitted_points(full)
+            expected = tuple(c for c in full.constraints if isinstance(c, Conditional)
+                             and any(eval_prop(c.antecedent, p) for p in admitted))
             head = tuple(c for c in constraints if not isinstance(c, Conditional))
             assert constraints == head + expected
             assert ([render(clause_formula(c)) for c in constraints[len(head):]]
                     == [render(clause_formula(c)) for c in expected])
+            # a friend with two outcomes or more leaves the other wing vacuous events
+            pruned = len(expected) < len(full.constraints) - len(head)
+            assert pruned == any(w.friend and len(w.outcomes) > 1 for w in cfg.wings)
 
 
 def _coarse_conditionals(prob):
@@ -245,24 +296,35 @@ def _coarse_conditionals(prob):
 
 
 def test_coarse_conditionals_follow_from_finest(rng):
-    for _ in range(20):
+    # every world-set of admitted points that satisfies encode's finest
+    # clauses satisfies the coarse ones: each random set is first deflated
+    # to its greatest subset that satisfies the finest clauses
+    nonempty = 0
+    for _ in range(10):
         beh = random_behavior(rng)
         prob = encode(beh)
         finest = [c for c in prob.constraints if isinstance(c, Conditional)]
         coarser = _coarse_conditionals(prob)
         assert finest and coarser
-        variables = sorted(prob.atom_domains)
-        grid = [dict(zip(variables, combo))
-                for combo in itertools.product(*(prob.atom_domains[v] for v in variables))]
+        admitted = _admitted_points(prob)
+
+        def extension(f):
+            return {i for i, p in enumerate(admitted) if eval_prop(f, p)}
+
+        finest = [(extension(c.antecedent), extension(c.consequent)) for c in finest]
+        coarser = [(extension(c.antecedent), extension(c.consequent)) for c in coarser]
         for _ in range(30):
-            candidate = [p for p in grid if rng.random() < 0.3]
-
-            def holds(c):
-                return (not any(eval_prop(c.antecedent, p) for p in candidate)
-                        or any(eval_prop(c.consequent, p) for p in candidate))
-
-            if all(holds(c) for c in finest):
-                assert all(holds(c) for c in coarser)
+            candidate = {i for i in range(len(admitted)) if rng.random() < 0.7}
+            changed = True
+            while changed:
+                changed = False
+                for ant, cons in finest:
+                    if candidate & ant and not candidate & cons:
+                        candidate -= ant
+                        changed = True
+            nonempty += bool(candidate)
+            assert all(not candidate & ant or candidate & cons for ant, cons in coarser)
+    assert nonempty >= 100
 
 
 MIXED_CONFIGS = [
@@ -272,23 +334,32 @@ MIXED_CONFIGS = [
     BOTH_FRIENDS,
     ScenarioConfig(x_values=(1, 2, 3), y_values=(1, 2, 3), friend_a=True, friend_b=True),
     ScenarioConfig(a_values=(0, 1, 2), b_values=(0, 1, 2), friend_a=True, friend_b=True),
+    CONFIG_3X3,
 ]
 
 
-@pytest.mark.parametrize("cfg", MIXED_CONFIGS, ids=["none", "a", "b", "both", "3x2", "2x3"])
+@pytest.mark.parametrize("cfg", MIXED_CONFIGS,
+                         ids=["none", "a", "b", "both", "3x2", "2x3", "3x3"])
 def test_finest_family_solves_like_full_family(rng, cfg):
+    # encode's problem, the full reference with every finest clause, and
+    # that reference with the coarse clauses too
     for _ in range(12):
         beh = random_behavior(rng, cfg, p=rng.choice([0.5, 0.7, 0.9]))
-        prob = encode(beh)
-        full = Depth1Problem(prob.atom_domains,
-                             prob.constraints + tuple(_coarse_conditionals(prob)))
-        slim, wide = solve_depth1(prob), solve_depth1(full)
-        assert type(slim) is type(wide)
+        prob, full = encode(beh), _full_reference_problem(beh)
+        wide = Depth1Problem(full.atom_domains,
+                             full.constraints + tuple(_coarse_conditionals(full)))
+        slim, ref, broad = solve_depth1(prob), solve_depth1(full), solve_depth1(wide)
+        assert type(slim) is type(ref) is type(broad)
         if isinstance(slim, Model):
-            assert slim.points == wide.points
+            assert slim.points == ref.points == broad.points
+            # the clauses encode leaves out hold in its model too
+            assert recheck_model(full, slim.points)
+            assert recheck_model(wide, slim.points)
         else:
-            assert slim.core.required == wide.core.required
-            assert slim.core.never_candidates == wide.core.never_candidates
+            # the clauses left out never fire, so the cores are equal
+            assert slim.core == ref.core
+            assert slim.core.required == broad.core.required
+            assert slim.core.never_candidates == broad.core.never_candidates
 
 
 def test_friendless_satisfiability_is_pns(rng):
