@@ -8,14 +8,16 @@ Subcommands:
     prove   end-to-end no-go reproduction with assumption-necessity runs
 
 Exit codes: 0 success / feasible / sat / true; 1 infeasible / unsat /
-violation / false; 2 usage or input error; 3 internal error (the routes
-disagree, or a model prove finds fails its recheck; one line on stderr).
+violation / false; 2 usage or input error, or a closed stdout; 3 internal
+error (the routes disagree, or a model prove finds fails its recheck).  An
+error is one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -393,6 +395,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
+        if args.json:
+            print(report.to_json())
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:  # a real process: its exit flush goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -403,8 +413,6 @@ def main(argv=None) -> int:
         # the library's own formulas nest a few levels, so only input overflows
         print("error: input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        print(report.to_json())
     return report.exit_code
 
 

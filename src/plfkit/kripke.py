@@ -164,9 +164,8 @@ def _extension(m: KripkeModel, f: Formula, memo: dict) -> int:
 
     memo maps id() of each And node labelled so far to its extension, so a
     node shared by many formulas is labelled once; the caller keeps every
-    node it holds alive for as long as the memo lives.  An And node's atom
-    left child, as in every chain encode builds, is read in place.  One
-    frame per nesting level, so any formula parse accepts is labelled.
+    node it holds alive for as long as the memo lives.  One frame per
+    nesting level, so any formula parse accepts is labelled.
     """
     t = type(f)
     if t is Atom:
@@ -175,9 +174,7 @@ def _extension(m: KripkeModel, f: Formula, memo: dict) -> int:
         key = id(f)
         ext = memo.get(key)
         if ext is None:
-            left = f.left
-            ext = memo[key] = (m._masks.get((left.variable, left.value), 0) if type(left) is Atom
-                               else _extension(m, left, memo)) & _extension(m, f.right, memo)
+            ext = memo[key] = _extension(m, f.left, memo) & _extension(m, f.right, memo)
         return ext
     if t is Diamond:
         return _diamond(m, _extension(m, f.child, memo))
@@ -342,12 +339,9 @@ class Depth1Problem(Record):
         for var, vals in self.atom_domains.items():
             if not vals:
                 raise ValueError(f"empty domain for {var}")
-        variables, combos, start, conds, reqs = _compile(self.atom_domains, self.constraints)
-        object.__setattr__(self, "_variables", variables)
-        object.__setattr__(self, "_combos", combos)
-        object.__setattr__(self, "_start", start)
-        object.__setattr__(self, "_conds", conds)
-        object.__setattr__(self, "_reqs", reqs)
+        for name, value in zip(("_variables", "_combos", "_start", "_conds", "_reqs"),
+                               _compile(self.atom_domains, self.constraints)):
+            object.__setattr__(self, name, value)
 
 
 class UnsatCore(Record):
@@ -397,9 +391,9 @@ def _compile(atom_domains, constraints) -> tuple[list, list, int, tuple, tuple]:
             run = ((1 << stride) - 1) << (j * stride)
             atom_masks[var, val] = atom_masks.get((var, val), 0) | run * repeat
 
-    # id() of each And node compiled so far -> its mask: encode shares
-    # chain tails, so each distinct tail is compiled once; constraints
-    # keeps every node alive while the memo lives
+    # id() of each And node compiled so far -> its mask: encode shares chain
+    # tails and antecedents across clauses, so each is compiled once;
+    # constraints keeps every node alive while the memo lives
     memo: dict = {}
 
     def sat(f: Formula) -> int:
@@ -415,10 +409,7 @@ def _compile(atom_domains, constraints) -> tuple[list, list, int, tuple, tuple]:
             key = id(f)
             mask = memo.get(key)
             if mask is None:
-                # an atom left child, as in every chain encode builds, read in place
-                left = f.left
-                mask = atom_masks.get((left.variable, left.value)) if type(left) is Atom else None
-                mask = memo[key] = (sat(left) if mask is None else mask) & sat(f.right)
+                mask = memo[key] = sat(f.left) & sat(f.right)
             return mask
         if t is Not:
             return full & ~sat(f.child)

@@ -97,13 +97,7 @@ class ScenarioConfig(Record):
 
     def cells(self):
         """All (a, b, x, y) keys in deterministic order."""
-        return [
-            (a, b, x, y)
-            for a in self.a_values
-            for b in self.b_values
-            for x in self.x_values
-            for y in self.y_values
-        ]
+        return list(itertools.product(self.a_values, self.b_values, self.x_values, self.y_values))
 
     def contexts(self):
         return [(x, y) for x in self.x_values for y in self.y_values]
@@ -238,6 +232,17 @@ def _check_label(name: str, value) -> None:
                          "(its text must be letters, digits or '_')") from None
 
 
+def _chains(atom: dict, labels: dict, variables: list) -> list:
+    """The right-nested conj of one atom per variable for every assignment to
+    `variables`, in itertools.product order over their labels.  The chains
+    are built from the last variable up, so equal tails are one node."""
+    *head, last = variables
+    chains = [atom[last, v] for v in labels[last]]
+    for var in reversed(head):
+        chains = [And(atom[var, v], tail) for v in labels[var] for tail in chains]
+    return chains
+
+
 def encode(beh: Behavior) -> Depth1Problem:
     """The depth-1 modal problem whose satisfiability is PLF-compatibility.
 
@@ -254,7 +259,8 @@ def encode(beh: Behavior) -> Depth1Problem:
         assignments follow from them.  Nor are the finest assignments that
         set another friend's wing to its read setting with an outcome off
         that friend's record: the friend's reading clause leaves them no
-        point, so their clauses hold vacuously (docs/feasibility.md).
+        point, so their clauses hold vacuously (docs/feasibility.md).  Each
+        clause is <>E -> <>(Z=z & E), its consequent built on E's own node.
 
     Exactly-one-value per variable is structural: every world of the search
     space is a total valuation point.
@@ -268,10 +274,8 @@ def encode(beh: Behavior) -> Depth1Problem:
     atom = {(var, v): _atom(var, v) for var, vals in labels.items() for v in vals}
     domains = {var: tuple(str(v) for v in vals) for var, vals in labels.items()}
 
-    # the cell bodies A & (B & (X & Y)) in cell order, each tail built once
-    xy = [And(atom["X", x], atom["Y", y]) for x in cfg.x_values for y in cfg.y_values]
-    bxy = [And(atom["B", b], t) for b in cfg.b_values for t in xy]
-    bodies = (And(atom["A", a], t) for a in cfg.a_values for t in bxy)
+    # the cell bodies in cell order: outcomes, then settings
+    bodies = _chains(atom, labels, [w.outcome for w in cfg.wings] + [w.setting for w in cfg.wings])
     constraints: list = [Required(body) if beh.possible[cell] else Forbidden(body)
                          for cell, body in zip(cfg.cells(), bodies)]
 
@@ -284,30 +288,16 @@ def encode(beh: Behavior) -> Depth1Problem:
 
     for w in cfg.wings:
         pool = sorted(var for var in domains if var not in (w.outcome, w.setting))
-        first, *head, last = pool
-        # (conj(event), [conj(event + [Z=z]) for z]) for each assignment to the
-        # pool's tail, built from the last variable up so that every chain
-        # reuses one node per distinct tail; product order is kept
-        tails = [(a, [And(a, atom[w.setting, z]) for z in w.settings])
-                 for a in (atom[last, v] for v in labels[last])]
-        for var in reversed(head):
-            tails = [(And(a, event), [And(a, c) for c in cons])
-                     for a in (atom[var, v] for v in labels[var]) for event, cons in tails]
         # an event that sets another friend's wing o to o.read with o's outcome
         # off o's record holds at no point o's MustAll admits: its clauses hold
-        # vacuously, so its top-level chain nodes are not built
+        # vacuously, so they are not emitted
         vacuous = [(pool.index(o.setting), pool.index(o.outcome), pool.index(o.record), o.read)
                    for o in cfg.wings if o is not w and o.friend]
-        tail_values = list(itertools.product(*(labels[var] for var in pool[1:])))
-        for v in labels[first]:
-            a = atom[first, v]
-            for (event, cons), values in zip(tails, tail_values):
-                values = (v, *values)
-                if any(values[i] == read and values[j] != values[k]
-                       for i, j, k, read in vacuous):
-                    continue
-                event = And(a, event)
-                constraints.extend(Conditional(event, And(a, c)) for c in cons)
+        values = itertools.product(*(labels[var] for var in pool))
+        for event, vals in zip(_chains(atom, labels, pool), values):
+            if not any(vals[i] == read and vals[j] != vals[k] for i, j, k, read in vacuous):
+                constraints.extend(Conditional(event, And(atom[w.setting, z], event))
+                                   for z in w.settings)
 
     return Depth1Problem(atom_domains=domains, constraints=tuple(constraints))
 

@@ -453,6 +453,42 @@ def test_check_digest_of_a_pipe_is_the_bytes_read(hardy_file):
     assert report["inputs"] == {f"/dev/fd/{r}": hashlib.sha256(data).hexdigest()}
 
 
+CHAIN_300 = " & ".join(f"P{i}" for i in range(300))
+
+
+@pytest.mark.parametrize("argv", [["prove"], ["prove", "--json"], ["parse", CHAIN_300]],
+                         ids=["prove", "prove --json", "parse 300"])
+def test_closed_stdout_exits_2(argv):
+    """A reader gone before the output is written: exit 2 and one `error:`
+    line, with no traceback and nothing more at interpreter exit."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "plfkit.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), stdin=subprocess.DEVNULL,
+                              stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: stdout was closed before the output was written\n"
+
+
+def test_closed_stdout_in_process(capsys):
+    """Under an in-process run the stdout object is not the process's own: the
+    exit code and message are the same, and no fd is redirected."""
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    fd_target = os.fstat(1)
+    with contextlib.redirect_stdout(Closed()):
+        code = main(["parse", "A & B"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: stdout was closed before the output was written\n"
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (fd_target.st_dev, fd_target.st_ino)
+
+
 def _cli_proc(argv, stdin=b"", env=None):
     """(exit code, stdout, stderr) of `python -m plfkit.cli argv` fed `stdin` bytes."""
     env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))

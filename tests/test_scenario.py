@@ -193,6 +193,26 @@ class TestEncode:
         bodies = [c.body for c in encode(seeded[0]).constraints[:81]]
         assert len({id(node) for f in bodies for node in _and_nodes(f)}) == 81 + 27 + 9
 
+    def test_and_node_counts(self, hardy_beh):
+        # cell bodies, reading clauses, every wing's events with their
+        # shared tails, and one Z=z & E node per Conditional
+        for beh, count in ((hardy_beh, 128), (all_true(CONFIG_3X3), 699)):
+            formulas = [clause_formula(c) for c in encode(beh).constraints]
+            assert len({id(node) for f in formulas for node in _and_nodes(f)}) == count
+
+    def test_consequent_is_built_on_its_antecedent(self, hardy_beh, rng):
+        # each Conditional is <>E -> <>(Z=z & E) with E the antecedent's own node
+        seeded = [random_behavior(rng, ScenarioConfig(x_values=(1, 2, 3), a_values=("u", "v"),
+                                                      friend_a=fa, friend_b=fb, read_x=3))
+                  for fa, fb in itertools.product((False, True), repeat=2)]
+        for beh in (hardy_beh, *seeded):
+            conds = [c for c in encode(beh).constraints if isinstance(c, Conditional)]
+            assert conds
+            for c in conds:
+                assert isinstance(c.consequent, And)
+                assert c.consequent.right is c.antecedent
+                assert c.consequent.left.variable in ("X", "Y")
+
 
 def _and_nodes(f):
     """Every And node of f, once per occurrence."""
@@ -201,6 +221,9 @@ def _and_nodes(f):
         node = stack.pop()
         if isinstance(node, And):
             out.append(node)
+        if isinstance(node, (Not, Diamond, Box)):
+            stack.append(node.child)
+        elif not isinstance(node, Atom):
             stack += [node.left, node.right]
     return out
 
@@ -222,7 +245,7 @@ def _clause_per_chain_conditionals(beh):
         for values in itertools.product(*(labels[var] for var in pool)):
             event = [Atom(var, str(v)) for var, v in zip(pool, values)]
             for z in w.settings:
-                out.append(Conditional(conj(event), conj(event + [Atom(w.setting, str(z))])))
+                out.append(Conditional(conj(event), And(Atom(w.setting, str(z)), conj(event))))
     return tuple(out)
 
 
