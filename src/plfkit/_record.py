@@ -9,11 +9,16 @@ that run once per formula node write their own `__slots__` and `__init__`;
 the others inherit the generic `__init__` below.  `object.__setattr__`
 still sets an attribute, which is how constructors store normalised fields
 and derived data.
+
+`json_object` loads the model and the behavior files: one object with
+exactly the file's keys, and no key repeated in any object.
 """
 
 from __future__ import annotations
 
-__all__ = ["Record"]
+import json
+
+__all__ = ["Record", "json_object"]
 
 _MISSING = object()
 
@@ -81,3 +86,36 @@ class Record:
         # copy and pickle rebuild through the constructor, since the default
         # protocol restores slots by assignment
         return type(self), self._values()
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"a JSON object repeats the key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# one decoder for every file: `json.loads` with a hook builds one a call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def json_object(data, keys: set, what: str) -> dict:
+    """`data`, decoded first if it is JSON text, as an object whose keys are
+    exactly `keys`; otherwise raises ValueError naming `what`."""
+    if isinstance(data, str):
+        if data.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
+        data = _DECODER.decode(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(data) - keys
+    if unknown:
+        raise ValueError(f"unknown keys in {what}: {sorted(unknown)}")
+    missing = keys - set(data)
+    if missing:
+        raise ValueError(f"missing keys in {what}: {sorted(missing)}")
+    return data

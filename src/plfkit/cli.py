@@ -9,8 +9,11 @@ Subcommands:
 
 Exit codes: 0 success / feasible / sat / true; 1 infeasible / unsat /
 violation / false; 2 usage or input error, or a closed stdout; 3 internal
-error (the routes disagree, or a model prove finds fails its recheck).  An
-error is one line on stderr.
+error (the routes disagree, or a witness table or model fails its check).
+An error is one line on stderr.
+
+A subcommand prints nothing but returns a `RunReport`; `main` writes its
+--out files, then its text or, under --json, the report itself.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class RunReport:
         self.inputs: dict = {}  # path -> the bytes that were decided
         self.verdicts: dict = {}
         self.exit_code = EXIT_OK
+        self.files: dict = {}  # Path -> text, for --out
+        self.stdout = self.stderr = ""
 
     def to_json(self) -> str:
         # imported on use: hashlib loads OpenSSL, about 3.6 MB resident, and
@@ -111,13 +116,6 @@ def _check_routes_agree(feasible: bool, satisfiable: bool) -> None:
                              f"(table: {feasible}, modal: {satisfiable})")
 
 
-def _write_output(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def _ast_dump(f) -> dict:
     from .formula import Atom, Box, Diamond, Not
     if isinstance(f, Atom):
@@ -140,9 +138,7 @@ def cmd_parse(args) -> RunReport:
     except FormulaSyntaxError as exc:
         raise _InputError(f"syntax error: {exc}") from exc
     report.verdicts = {"rendered": render(f), "ast": _ast_dump(f)}
-    if not args.json:
-        print(report.verdicts["rendered"])
-        print(_dumps(report.verdicts["ast"]))
+    report.stdout = f"{report.verdicts['rendered']}\n{_dumps(report.verdicts['ast'])}\n"
     return report
 
 
@@ -164,8 +160,7 @@ def cmd_eval(args) -> RunReport:
         raise _InputError(f"unknown world: {exc}") from exc
     report.verdicts = {"result": result, "validity": args.validity}
     report.exit_code = EXIT_OK if result else EXIT_NEGATIVE
-    if not args.json:
-        print("true" if result else "false")
+    report.stdout = "true\n" if result else "false\n"
     return report
 
 
@@ -185,34 +180,30 @@ def cmd_check(args) -> RunReport:
         report.verdicts = {"pns_holds": pns.holds,
                            "violations": [list(map(str, v)) for v in pns.violations]}
         report.exit_code = EXIT_OK if pns.holds else EXIT_NEGATIVE
-        if not args.json:
-            print("possibilistic no-signalling: "
-                  + ("holds" if pns.holds else f"violated ({len(pns.violations)} witnesses)"))
+        report.stdout = "possibilistic no-signalling: " + (
+            "holds\n" if pns.holds else f"violated ({len(pns.violations)} witnesses)\n")
         return report
 
     from . import kripke, plfcheck
     verdict = plfcheck.plf_feasible(beh)
-    sat = kripke.solve_depth1(scenario.encode(beh))
+    problem = scenario.encode(beh)
+    sat = kripke.solve_depth1(problem)
     _check_routes_agree(verdict.feasible, isinstance(sat, kripke.Model))
+    if verdict.feasible and not plfcheck.validate_extended_table(verdict.witness, beh):
+        raise _InternalError("the table route's witness table fails its check")
+    if verdict.feasible and not kripke.recheck_model(problem, sat.points):
+        raise _InternalError("the modal route's model fails its recheck")
     report.verdicts = {"feasible": verdict.feasible,
                        "modal_satisfiable": isinstance(sat, kripke.Model)}
     report.exit_code = EXIT_OK if verdict.feasible else EXIT_NEGATIVE
+    report.stdout = "possibilistic local friendliness: " + (
+        "feasible\n" if verdict.feasible
+        else "infeasible\n" + plfcheck.trace_to_text(verdict.trace, beh.config) + "\n")
     if args.out:
-        if verdict.feasible:
-            payload = {
-                "witness": [list(k) for k, v in sorted(
-                    verdict.witness.entries.items(),
-                    key=lambda kv: tuple(str(p) for p in kv[0])) if v],
-            }
-        else:
-            payload = verdict.trace.to_dict()
-        _write_output(Path(args.out), json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if not args.json:
-        if verdict.feasible:
-            print("possibilistic local friendliness: feasible")
-        else:
-            print("possibilistic local friendliness: infeasible")
-            print(plfcheck.trace_to_text(verdict.trace, beh.config))
+        payload = {"witness": [list(k) for k, v in sorted(
+            verdict.witness.entries.items(), key=lambda kv: tuple(str(p) for p in kv[0])) if v]
+        } if verdict.feasible else verdict.trace.to_dict()
+        report.files[Path(args.out)] = _dumps(payload, sort_keys=True) + "\n"
     return report
 
 
@@ -237,7 +228,10 @@ def cmd_hardy(args) -> RunReport:
     behavior = scenario.behavior_to_json(beh)
     probabilities = {f"a={a} b={b} x={x} y={y}": float(p)
                      for (a, b, x, y), p in sorted(table.probs.items())}
-    behavior_json = json.dumps(behavior, indent=2, sort_keys=True) + "\n"
+    # the headline goes to stderr so stdout stays a valid behavior file and
+    # `plfkit hardy | plfkit check --mode plf` works
+    report.stderr = headline + "\n"
+    report.stdout = _dumps(behavior, sort_keys=True) + "\n"
     report.verdicts = {
         "headline": headline,
         "epsilon": args.epsilon,
@@ -250,14 +244,8 @@ def cmd_hardy(args) -> RunReport:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _InputError(f"cannot create {outdir}: {exc.strerror or exc}") from exc
-        _write_output(outdir / "hardy_probs.json",
-                      json.dumps(probabilities, indent=2, sort_keys=True) + "\n")
-        _write_output(outdir / "hardy_behavior.json", behavior_json)
-    if not args.json:
-        # headline goes to stderr so stdout stays a valid behavior file and
-        # `plfkit hardy | plfkit check --mode plf` works
-        print(headline, file=sys.stderr)
-        sys.stdout.write(behavior_json)
+        report.files = {outdir / "hardy_probs.json": _dumps(probabilities, sort_keys=True) + "\n",
+                        outdir / "hardy_behavior.json": report.stdout}
     return report
 
 
@@ -327,11 +315,9 @@ def cmd_prove(args) -> RunReport:
         "relaxations": relaxations,
     }
     report.exit_code = EXIT_OK if ok else EXIT_NEGATIVE
-    text = "\n".join(lines)
+    report.stdout = "\n".join(lines) + "\n"
     if args.out:
-        _write_output(Path(args.out), text + "\n")
-    if not args.json:
-        print(text)
+        report.files[Path(args.out)] = report.stdout
     return report
 
 
@@ -395,8 +381,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
+        for path, text in report.files.items():
+            try:
+                path.write_text(text)
+            except OSError as exc:
+                raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         if args.json:
             print(report.to_json())
+        else:
+            sys.stderr.write(report.stderr)
+            sys.stdout.write(report.stdout)
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
     except BrokenPipeError:
         if sys.stdout is sys.__stdout__:  # a real process: its exit flush goes to devnull

@@ -47,12 +47,11 @@ only for the grid bits that its result lists.
 
 from __future__ import annotations
 
-import json
 import itertools
 from types import SimpleNamespace
 from typing import Mapping, Union
 
-from ._record import Record
+from ._record import Record, json_object
 from .formula import (
     And,
     Atom,
@@ -207,21 +206,10 @@ def valid(m: KripkeModel, f: Formula) -> bool:
 # JSON model files
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = {"worlds", "relation", "valuation"}
-
 
 def model_from_json(data) -> KripkeModel:
     """Build a model from the JSON dict form; unknown keys are rejected."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("model file must be a JSON object")
-    unknown = set(data) - _MODEL_KEYS
-    if unknown:
-        raise ValueError(f"unknown keys in model file: {sorted(unknown)}")
-    missing = _MODEL_KEYS - set(data)
-    if missing:
-        raise ValueError(f"missing keys in model file: {sorted(missing)}")
+    data = json_object(data, {"worlds", "relation", "valuation"}, "model file")
     _check_names(data["worlds"], "worlds")
     if not isinstance(data["relation"], list):
         raise ValueError("relation must be a list of [world, world] pairs")

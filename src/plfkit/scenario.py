@@ -10,11 +10,10 @@ combinations are possible in each measurement context.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from ._record import Record
+from ._record import Record, json_object
 from .formula import And, Atom, Implies, conj, disj
 
 __all__ = [
@@ -334,17 +333,7 @@ def behavior_from_json(data) -> Behavior:
 
     A config equal to the previous call's is replaced by that one.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("behavior file must be a JSON object")
-    keys = {*_CONFIG_FIELDS, "possible"}
-    unknown = set(data) - keys
-    if unknown:
-        raise ValueError(f"unknown keys in behavior file: {sorted(unknown)}")
-    missing = keys - set(data)
-    if missing:
-        raise ValueError(f"missing keys in behavior file: {sorted(missing)}")
+    data = json_object(data, {*_CONFIG_FIELDS, "possible"}, "behavior file")
     for name in _CONFIG_FIELDS:
         # the value lists default to tuples, the friend flags to bools
         default = getattr(ScenarioConfig, name)

@@ -144,6 +144,23 @@ class TestCheck:
             [line] = captured.err.splitlines()
             assert "disagree" in line and "table: True" in line and "modal: False" in line
 
+    @pytest.mark.parametrize("module, checker, word", [
+        (plfcheck, "validate_extended_table", "witness table"),
+        (kripke, "recheck_model", "model fails its recheck"),
+    ], ids=["witness", "model"])
+    def test_failed_certificate_is_an_internal_error(self, all_possible_file, tmp_path,
+                                                     monkeypatch, capsys, module, checker, word):
+        """A feasible verdict whose witness table or model fails its check
+        exits 3 with one line, and writes neither stdout nor the --out file."""
+        monkeypatch.setattr(module, checker, lambda *args: False)
+        out = tmp_path / "witness.json"
+        for json_flag in ([], ["--json"]):
+            assert main(["check", all_possible_file, "--out", str(out), *json_flag]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            [line] = captured.err.splitlines()
+            assert line.startswith("internal error: ") and word in line
+
     def test_stdin_pipeline(self, monkeypatch, capsys):
         assert main(["hardy"]) == 0
         captured = capsys.readouterr()
@@ -281,6 +298,35 @@ class TestBoundaryErrors:
         assert captured.out == ""
         assert "unrecognized arguments: --out" in captured.err.splitlines()[-1]
         assert not out.exists()
+
+    def test_repeated_key_in_behavior_file(self, all_possible_file, tmp_path, capsys):
+        """A behavior file that lists `possible` twice is refused, not decided
+        on its last list: the first list alone is feasible, the last is Hardy."""
+        first = json.loads(Path(all_possible_file).read_text())["possible"]
+        path = tmp_path / "twice.json"
+        path.write_text(f'{{"possible": {json.dumps(first)}, '
+                        + json.dumps(behavior_to_json(hardy_behavior()))[1:])
+        assert main(["check", all_possible_file]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path)]) == 2
+        assert "repeats the key 'possible'" in assert_one_line_error(capsys)
+
+    def test_repeated_key_in_model_file(self, tmp_path, capsys):
+        """A model file whose valuation lists `A=1` twice is refused, not
+        evaluated on the last entry."""
+        path = tmp_path / "twice.json"
+        path.write_text('{"worlds": ["w0", "w1"], "relation": [["w0", "w1"]], '
+                        '"valuation": {"A=1": ["w1"], "A=1": []}}')
+        assert main(["eval", str(path), "w0", "<>A=1"]) == 2
+        assert "repeats the key 'A=1'" in assert_one_line_error(capsys)
+
+    def test_byte_order_mark(self, hardy_file, tmp_path, capsys):
+        """A file that starts with a UTF-8 byte order mark is refused as
+        `json.loads` refuses it, naming the mark."""
+        path = tmp_path / "bom.json"
+        path.write_text("\ufeff" + Path(hardy_file).read_text())
+        assert main(["check", str(path)]) == 2
+        assert "Unexpected UTF-8 BOM" in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("sub", ["parse", "check", "eval"])
     def test_deep_nesting(self, sub, model_file, tmp_path, capsys):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from plfkit.cli import main
+from plfkit.cli import build_parser, main
 from plfkit.formula import render
 from plfkit.kripke import Unsat, clause_formula, solve_depth1
 from plfkit.plfcheck import plf_feasible
@@ -185,6 +185,42 @@ def test_hardy_unsat_core():
 
 def test_hardy_repr():
     assert hardy_repr_text() == (GOLDEN / "hardy_repr.txt").read_text()
+
+
+# golden stdout -> (argv, the file on stdin); hardy's stderr is hardy.stderr
+WRITER = {
+    **{name: (argv, None) for name, argv in PROVE.items()},
+    "hardy.stdout": (["hardy"], None),
+    "hardy_check.stdout": (["check"], GOLDEN / "hardy.stdout"),
+    **{name: (argv, INPUTS / src) for name, (argv, src, _) in CHECK.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER))
+def test_subcommand_writes_nothing(name, monkeypatch, capsys):
+    """A subcommand prints nothing: its report holds the text that `main`
+    prints, byte for byte, or under --json the report is that text."""
+    argv, stdin = WRITER[name]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin.read_text() if stdin else ""))
+    args = build_parser().parse_args(argv)
+    report = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert (report.to_json() + "\n" if args.json else report.stdout) == (GOLDEN / name).read_text()
+    assert report.stderr == ((GOLDEN / "hardy.stderr").read_text() if argv == ["hardy"] else "")
+
+
+def test_subcommand_leaves_out_files_to_main(tmp_path, capsys):
+    """`check --out` and `hardy --out` return their files in the report and
+    write none of them; `hardy` only creates the directory."""
+    out = tmp_path / "witness.json"
+    args = build_parser().parse_args(["check", str(INPUTS / "feasible_3x2.json"), "--out", str(out)])
+    assert args.func(args).files == {out: (GOLDEN / "feasible_3x2_witness.json").read_text()}
+    args = build_parser().parse_args(["hardy", "--out", str(tmp_path / "hardy")])
+    assert args.func(args).files == {tmp_path / "hardy" / name: (GOLDEN / name).read_text()
+                                     for name in HARDY_OUT}
+    assert capsys.readouterr() == ("", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["hardy"]
+    assert list((tmp_path / "hardy").iterdir()) == []
 
 
 @pytest.mark.parametrize("name", sorted(ENCODE))
