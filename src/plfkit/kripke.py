@@ -37,12 +37,12 @@ deflation: start from all points passing the MustAll/Forbidden filters,
 and repeatedly delete the antecedent points of any Conditional whose
 consequent has no remaining witness.
 
-Building a Depth1Problem compiles it: one walk over each clause body
-yields the bitmask of the grid points where the body holds, and that walk
-is also the fragment check (no modal operator in a body, no variable
-outside atom_domains).  It too compiles each distinct And node once per
-problem.  solve_depth1 only deflates the stored masks, and builds a point
-only for the grid bits that its result lists.
+Building a Depth1Problem compiles it: the grid is its points, each built
+once; one walk over each clause body yields the bitmask of the grid points
+where the body holds, and that walk is also the fragment check (no modal
+operator in a body, no variable outside atom_domains).  It too compiles
+each distinct And node once per problem.  solve_depth1 only deflates the
+stored masks, and its result selects the grid points of its bits.
 """
 
 from __future__ import annotations
@@ -310,8 +310,9 @@ class Depth1Problem(Record):
     fold into one start mask.  That one walk over each body is also the
     fragment check.  It raises FragmentError on a constraint that is not
     a clause or a body with a modal operator, and ValueError on an empty
-    domain or a variable missing from atom_domains.  An atom whose variable
-    is known but whose value is outside its domain holds at no point.
+    domain, a domain value that is not a str or a variable missing from
+    atom_domains.  An atom whose variable is known but whose value is
+    outside its domain holds at no point.
     """
 
     _fields = ("atom_domains", "constraints")
@@ -327,7 +328,11 @@ class Depth1Problem(Record):
         for var, vals in self.atom_domains.items():
             if not vals:
                 raise ValueError(f"empty domain for {var}")
-        for name, value in zip(("_variables", "_combos", "_start", "_conds", "_reqs"),
+            # the compile matches values as they are, the recheck by str()
+            for val in vals:
+                if not isinstance(val, str):
+                    raise ValueError(f"domain of {var} holds {val!r}, not a str")
+        for name, value in zip(("_grid", "_start", "_conds", "_reqs"),
                                _compile(self.atom_domains, self.constraints)):
             object.__setattr__(self, name, value)
 
@@ -359,18 +364,18 @@ class Unsat(Record):
 SatResult = Union[Model, Unsat]
 
 
-def _compile(atom_domains, constraints) -> tuple[list, list, int, tuple, tuple]:
-    """The sorted variables, the grid's value tuples in product order, the
-    mask of the points passing every MustAll and Forbidden, and the
-    (Conditional, antecedent mask, consequent mask) and (Required, mask)
-    lists in constraint order; checks the fragment on the way."""
+def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
+    """The grid, the mask of the points passing every MustAll and Forbidden,
+    and the (Conditional, antecedent mask, consequent mask) and (Required,
+    mask) lists in constraint order; checks the fragment on the way."""
     variables = sorted(atom_domains)
-    combos = list(itertools.product(*(atom_domains[v] for v in variables)))
-    full = (1 << len(combos)) - 1
+    # each grid entry is a point, built of pairs shared with the other points
+    grid = list(itertools.product(*([(v, val) for val in atom_domains[v]] for v in variables)))
+    full = (1 << len(grid)) - 1
     # in product order, value j of a variable holds on a run of `stride`
     # points starting at j * stride, repeated every `period` points
     atom_masks: dict = {}
-    stride = len(combos)
+    stride = len(grid)
     for var in variables:
         vals = atom_domains[var]
         period, stride = stride, stride // len(vals)
@@ -379,53 +384,55 @@ def _compile(atom_domains, constraints) -> tuple[list, list, int, tuple, tuple]:
             run = ((1 << stride) - 1) << (j * stride)
             atom_masks[var, val] = atom_masks.get((var, val), 0) | run * repeat
 
-    # id() of each And node compiled so far -> its mask: encode shares chain
-    # tails and antecedents across clauses, so each is compiled once;
-    # constraints keeps every node alive while the memo lives
-    memo: dict = {}
-
-    def sat(f: Formula) -> int:
-        t = type(f)
-        if t is Atom:
-            mask = atom_masks.get((f.variable, f.value))
-            if mask is not None:
-                return mask
-            if f.variable not in atom_domains:
-                raise ValueError(f"variable {f.variable} not in atom_domains")
-            return 0
-        if t is And:
-            key = id(f)
-            mask = memo.get(key)
-            if mask is None:
-                mask = memo[key] = sat(f.left) & sat(f.right)
-            return mask
-        if t is Not:
-            return full & ~sat(f.child)
-        if t is Or:
-            return sat(f.left) | sat(f.right)
-        if t is Implies:
-            return (full & ~sat(f.left)) | sat(f.right)
-        if t is Iff:
-            return full & ~(sat(f.left) ^ sat(f.right))
-        if t is Diamond or t is Box:
-            raise FragmentError(f"modal operator inside clause body: {render(f)}")
-        raise TypeError(f"not a propositional formula: {f!r}")
-
+    # the memo maps id() of each And node compiled so far to its mask:
+    # encode shares chain tails and antecedents across clauses, so each is
+    # compiled once; constraints keeps every node alive while the memo lives
+    g, memo = SimpleNamespace(masks=atom_masks, domains=atom_domains, full=full), {}
     start = full
     conds, reqs = [], []
     for c in constraints:
         # the clause kinds are disjoint; Conditionals are the most numerous
         if isinstance(c, Conditional):
-            conds.append((c, sat(c.antecedent), sat(c.consequent)))
+            conds.append((c, _sat(g, c.antecedent, memo), _sat(g, c.consequent, memo)))
         elif isinstance(c, Required):
-            reqs.append((c, sat(c.body)))
+            reqs.append((c, _sat(g, c.body, memo)))
         elif isinstance(c, Forbidden):
-            start &= ~sat(c.body)
+            start &= ~_sat(g, c.body, memo)
         elif isinstance(c, MustAll):
-            start &= sat(c.body)
+            start &= _sat(g, c.body, memo)
         else:
             raise FragmentError(f"constraint outside the depth-1 fragment: {c!r}")
-    return variables, combos, start, tuple(conds), tuple(reqs)
+    return grid, start, tuple(conds), tuple(reqs)
+
+
+def _sat(g, f: Formula, memo: dict) -> int:
+    """The mask of the grid points where the propositional body f holds;
+    g holds _compile's atom masks, domains and full mask, memo its And masks."""
+    t = type(f)
+    if t is Atom:
+        mask = g.masks.get((f.variable, f.value))
+        if mask is not None:
+            return mask
+        if f.variable not in g.domains:
+            raise ValueError(f"variable {f.variable} not in atom_domains")
+        return 0
+    if t is And:
+        key = id(f)
+        mask = memo.get(key)
+        if mask is None:
+            mask = memo[key] = _sat(g, f.left, memo) & _sat(g, f.right, memo)
+        return mask
+    if t is Not:
+        return g.full & ~_sat(g, f.child, memo)
+    if t is Or:
+        return _sat(g, f.left, memo) | _sat(g, f.right, memo)
+    if t is Implies:
+        return (g.full & ~_sat(g, f.left, memo)) | _sat(g, f.right, memo)
+    if t is Iff:
+        return g.full & ~(_sat(g, f.left, memo) ^ _sat(g, f.right, memo))
+    if t is Diamond or t is Box:
+        raise FragmentError(f"modal operator inside clause body: {render(f)}")
+    raise TypeError(f"not a propositional formula: {f!r}")
 
 
 def solve_depth1(p: Depth1Problem) -> SatResult:
@@ -464,10 +471,8 @@ def solve_depth1(p: Depth1Problem) -> SatResult:
 
 def _points(p: Depth1Problem, mask: int) -> tuple:
     """The points of the grid bits set in mask, in grid order."""
-    variables, combos = p._variables, p._combos
     # bin() lists the bits high to low, so the reversed digits are bits 0, 1, ...
-    return tuple(tuple(zip(variables, combos[i]))
-                 for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+    return tuple(itertools.compress(p._grid, map("1".__eq__, bin(mask)[:1:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +523,16 @@ def recheck_model(p: Depth1Problem, points) -> bool:
     """Independently verify a solve_depth1 model with the modal evaluator:
     every clause of p holds at w0 of points_to_model(p, points), whose masks
     are read off the points: w0 is bit 0, the points bits 1, 2, ... as given."""
-    masks, bit = {}, 1
+    # the pairs gather their bits first, so str() runs once per distinct pair
+    by_pair, bit = {}, 1
     for pt in points:
         bit <<= 1
-        for var, val in pt:
-            key = var, str(val)
-            masks[key] = masks.get(key, 0) | bit
+        for pair in pt:
+            by_pair[pair] = by_pair.get(pair, 0) | bit
+    masks = {}
+    for (var, val), mask in by_pair.items():
+        key = var, str(val)
+        masks[key] = masks.get(key, 0) | mask
     full = (bit << 1) - 1
     m = SimpleNamespace(_bit={"w0": 1}, _full=full, _masks=masks, _succ=((1, full ^ 1),))
     return all(_clause_truths(m, p.constraints))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import itertools
 import json
 import os
@@ -36,9 +37,18 @@ from plfkit.kripke import (
     solve_depth1,
     valid,
 )
-from plfkit.scenario import ScenarioConfig, drop_impossibility, encode
+from plfkit.plfcheck import plf_feasible, validate_extended_table
+from plfkit.scenario import (
+    Behavior,
+    ScenarioConfig,
+    behavior_from_json,
+    behavior_to_json,
+    check_pns,
+    drop_impossibility,
+    encode,
+)
 from conftest import names_reached, random_behavior
-from oracles import naive_depth1_satisfiable, naive_evaluate, set_satisfies
+from oracles import eval_prop, naive_depth1_satisfiable, naive_evaluate, set_satisfies
 
 Q = Atom("Q")
 
@@ -315,6 +325,15 @@ class TestSolveDepth1:
         with pytest.raises(ValueError, match="empty domain"):
             Depth1Problem({"Q": ("true", "false"), "E": ()}, (Required(Atom("Q")),))
 
+    @pytest.mark.parametrize("vals, bad", [((1, 2), 1), (("1", 2), 2), ((None, "1"), None),
+                                           ((b"1",), b"1"), (("1", 1.0), 1.0)],
+                             ids=["ints", "int-after-str", "none", "bytes", "float"])
+    def test_domain_value_that_is_not_text_rejected(self, vals, bad):
+        # the compile would match 1 as it is and the recheck as "1": X=1
+        # forbidden kept both points, and the recheck refused that model
+        with pytest.raises(ValueError, match=re.escape(f"domain of X holds {bad!r}, not a str")):
+            Depth1Problem({"X": vals}, (Forbidden(Atom("X", "1")),))
+
     def test_value_outside_domain_holds_nowhere(self):
         maybe = Required(Atom("Q", "maybe"))
         result = solve_depth1(Depth1Problem({"Q": ("true", "false")}, (maybe,)))
@@ -348,6 +367,31 @@ class TestSolveDepth1:
                 nowhere = solve_depth1(Depth1Problem(domains, (MustAll(Atom(var, "x")),)))
                 assert nowhere.points == frozenset()
         assert shapes == {"one-value", "duplicate", "distinct"}
+
+
+def test_points_are_the_reference_grid_in_its_order():
+    # a point is the tuple of its (variable, value) pairs over the sorted
+    # variables, listed in product order, whatever the grid shares inside
+    rng = random.Random(43)
+    for _ in range(60):
+        domains = {var: tuple(rng.sample(("0", "1", "2"), rng.randint(1, 3)))
+                   for var in rng.sample(["v3", "v1", "v0", "v2"], rng.randint(1, 4))}
+        variables = sorted(domains)
+        reference = [tuple(zip(variables, combo))
+                     for combo in itertools.product(*(domains[v] for v in variables))]
+        body = _random_prop(rng, variables)
+        expected = tuple(pt for pt in reference if eval_prop(body, dict(pt)))
+        kept = solve_depth1(Depth1Problem(domains, (MustAll(body),)))
+        assert type(kept.points) is frozenset and kept.points == frozenset(expected)
+        core = solve_depth1(Depth1Problem(domains, (Required(body), Forbidden(body)))).core
+        assert core.never_candidates == expected
+        # a consequent that holds nowhere removes every antecedent point
+        cond = Conditional(body, And(body, Atom(variables[0], "x")))
+        core = solve_depth1(Depth1Problem(domains, (Required(body), cond))).core
+        assert core.never_candidates == ()
+        assert core.removals == (((cond, expected),) if expected else ())
+        for pt in (*kept.points, *core.never_candidates):
+            assert type(pt) is tuple and all(type(pair) is tuple for pair in pt)
 
 
 def _random_prop(rng, variables, depth=2):
@@ -745,6 +789,67 @@ def test_recheck_reads_each_clause_as_its_formula(size, seed, hardy_beh):
     assert any(not truth for _, truth in read)
 
 
+@pytest.mark.parametrize("size, seed", [(None, 15), ((3, 3), 5)], ids=["hardy", "3x3"])
+def test_recheck_reads_fresh_equal_copies_of_the_points(size, seed, hardy_beh):
+    # the recheck groups the points' pairs by value: copies that share no
+    # object with the solver's points, in any order, get the same verdict
+    prob = _satisfiable_problem(size, seed, hardy_beh)
+    points = solve_depth1(prob).points
+    solver_pairs = {id(pair) for pt in points for pair in pt}
+    excluded = [pt for pt in _grid(prob) if pt not in points]
+    rng = random.Random(seed)
+    verdicts = []
+    for subset in (points, points - {rng.choice(sorted(points))}, points | {rng.choice(excluded)}):
+        fresh = [tuple(map(tuple, pt)) for pt in json.loads(json.dumps(sorted(subset)))]
+        rng.shuffle(fresh)
+        assert set(fresh) == subset
+        assert not any(id(pair) in solver_pairs for pt in fresh for pair in pt)
+        verdicts.append(recheck_model(prob, subset))
+        assert recheck_model(prob, fresh) is verdicts[-1]
+    assert verdicts[0] and not verdicts[-1]
+
+
+def _all_possible_3x3(first_label):
+    labels = tuple(range(first_label, first_label + 3))
+    cfg = ScenarioConfig(x_values=labels, y_values=labels, a_values=labels, b_values=labels,
+                         friend_a=True, friend_b=True, read_x=first_label, read_y=first_label)
+    return Behavior(cfg, dict.fromkeys(cfg.cells(), True))
+
+
+def _certified_decision(text):
+    """One certified decision as the benchmark's decide op runs it: both
+    routes from the behavior file, and both certificates of a feasible
+    verdict."""
+    beh = behavior_from_json(text)
+    check_pns(beh)
+    verdict = plf_feasible(beh)
+    problem = encode(beh)
+    sat = solve_depth1(problem)
+    assert verdict.feasible == isinstance(sat, Model)
+    if verdict.feasible:
+        assert validate_extended_table(verdict.witness, beh)
+        assert recheck_model(problem, sat.points)
+    return verdict.feasible
+
+
+@pytest.mark.parametrize("which", ["hardy", "3x3"])
+def test_a_certified_decision_leaves_no_reference_cycle(which, hardy_beh):
+    # everything a decision builds is freed by reference counting alone:
+    # with the collector off, a cycle per op would grow the heap without bound
+    if which == "hardy":  # as on the hardy stream, the decision reuses the config
+        warm = text = json.dumps(behavior_to_json(hardy_beh))
+    else:  # as on the ladder stream, fresh labels: a fresh config
+        warm, text = (json.dumps(behavior_to_json(_all_possible_3x3(first))) for first in (0, 3))
+    assert _certified_decision(warm) is (which == "3x3")
+    gc.collect()
+    gc.disable()
+    try:
+        assert _certified_decision(text) is (which == "3x3")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- the two walks stay independent ------------------------------------------
 
 
@@ -757,7 +862,8 @@ def test_evaluator_and_compiler_share_no_code():
     # the recheck reads the points as they are: it names and sorts no world
     assert not recheck & {"KripkeModel", "points_to_model", "sorted"}
     assert not names_reached((kripke,), *evaluator) & {
-        "_compile", "atom_masks", "_start", "_conds", "_reqs", "_variables", "_combos", "_points"}
+        "_compile", "_sat", "atom_masks", "_grid", "_start", "_conds", "_reqs", "_variables",
+        "_combos", "_points"}
     assert "atom_masks" in names_reached((kripke,), kripke.Depth1Problem.__post_init__)
     assert not names_reached((kripke,), kripke._compile) & {
         "_extension", "_diamond", "_box", "_clause_truths", "evaluate", "valid", "recheck_model"}
