@@ -9,29 +9,22 @@ exactly 0.
 Run:  python3 demos/02_hardy_quantum.py
 """
 
-from plfkit import born_table, hardy_behavior, hardy_state, measurement_effects
+from plfkit import HARDY_BASES, HARDY_STATE, born_table, hardy_behavior
 from plfkit.scenario import check_pns
 
-
-def show(matrix):
-    for row in matrix:
-        print("   ", "  ".join(f"{str(v):>4}" for v in row))
-
-
-state = hardy_state()
-print("shared lab state as a density matrix |psi><psi| (records 00, 01, 10, 11):")
-show(state.density)
+print("shared lab state, unnormalised (records 00, 01, 10, 11):", HARDY_STATE)
 print()
 
-print("setting-2 outcome-0 effect (projector onto the + superposition):")
-show(measurement_effects(2)[0].matrix)
+print("each lab's outcome vectors per setting, unnormalised (Alice's and Bob's alike):")
+for setting, vectors in HARDY_BASES[0].items():
+    print(f"  setting {setting}:", "  ".join(f"outcome {a} = {u}" for a, u in enumerate(vectors)))
 print()
 
-table = born_table(state)
+table = born_table(HARDY_STATE, HARDY_BASES)
 print("Born probabilities per context:")
 for x in (1, 2):
     for y in (1, 2):
-        row = "  ".join(f"P({a},{b}|{x},{y})={str(table.probs[(a, b, x, y)]):<4}"
+        row = "  ".join(f"P({a},{b}|{x},{y})={str(table[(a, b, x, y)]):<4}"
                         for a in (0, 1) for b in (0, 1))
         print(" ", row.rstrip())
 print()
@@ -39,5 +32,5 @@ print()
 beh = hardy_behavior(table=table)
 impossible = sorted(cell for cell, ok in beh.possible.items() if not ok)
 print("impossible superobserver events (P = 0 exactly):", impossible)
-print("the headline cell (1,1|2,2) is possible with P =", table.probs[(1, 1, 2, 2)])
+print("the headline cell (1,1|2,2) is possible with P =", table[(1, 1, 2, 2)])
 print("possibilistic no-signalling holds:", check_pns(beh).holds)

@@ -215,19 +215,19 @@ def cmd_hardy(args) -> RunReport:
             raise _InputError(f"epsilon must lie in (0, 1e-3], got {args.epsilon!r}")
         print("note: --epsilon is deprecated and has no effect: the probabilities are "
               "exact, so a cell is possible iff P != 0", file=sys.stderr)
-    table = quantum.born_table(quantum.hardy_state())
+    table = quantum.born_table(quantum.HARDY_STATE, quantum.HARDY_BASES)
     beh = quantum.hardy_behavior(table=table)
 
     def fmt(p) -> str:
         return "0" if p == 0 else f"{float(p):.6f}"
 
-    headline = (f"P(1,1|1,1)={fmt(table.probs[(1, 1, 1, 1)])}  "
-                f"P(0,1|1,2)={fmt(table.probs[(0, 1, 1, 2)])}  "
-                f"P(1,0|2,1)={fmt(table.probs[(1, 0, 2, 1)])}  "
-                f"P(1,1|2,2)={fmt(table.probs[(1, 1, 2, 2)])}")
+    headline = (f"P(1,1|1,1)={fmt(table[(1, 1, 1, 1)])}  "
+                f"P(0,1|1,2)={fmt(table[(0, 1, 1, 2)])}  "
+                f"P(1,0|2,1)={fmt(table[(1, 0, 2, 1)])}  "
+                f"P(1,1|2,2)={fmt(table[(1, 1, 2, 2)])}")
     behavior = scenario.behavior_to_json(beh)
     probabilities = {f"a={a} b={b} x={x} y={y}": float(p)
-                     for (a, b, x, y), p in sorted(table.probs.items())}
+                     for (a, b, x, y), p in sorted(table.items())}
     # the headline goes to stderr so stdout stays a valid behavior file and
     # `plfkit hardy | plfkit check --mode plf` works
     report.stderr = headline + "\n"

@@ -6,147 +6,93 @@ every superobserver effect acts within that span, so the two-dimensional
 model is exact (the explicit ready-state/isometry construction is kept as
 a cross-check in the test suite).
 
-Every state and effect is real, and rational once written as a projector,
-so matrices are tuples of `Fraction` rows and every Born probability is an
-exact rational: the Hardy zeros are exactly 0, the headline value 1/12.
-
-Basis order for the joint state is Alice-lab-major: index 2*c + d holds
-the Alice record c, Bob record d basis state.
+The Born rule is taken over vectors: a rational state psi, not normalised,
+first wing most significant (index 2*c + d holds Alice's record c and Bob's
+record d), and per wing and setting an orthogonal basis of rational outcome
+vectors u give P = <u_1 (x) u_2 (x) ..., psi>^2 / (|psi|^2 |u_1|^2 |u_2|^2 ...)
+as an exact `Fraction`: the Hardy zeros are exactly 0, the headline value 1/12.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
-from typing import Mapping
 
-from ._record import Record
 from .scenario import Behavior, ScenarioConfig
 
-__all__ = [
-    "StateVector",
-    "Effect",
-    "ProbTable",
-    "NormalizationError",
-    "hardy_state",
-    "measurement_effects",
-    "born_table",
-    "hardy_behavior",
-    "HARDY_CONFIG",
-]
+__all__ = ["HARDY_BASES", "HARDY_CONFIG", "HARDY_STATE", "born_table", "hardy_behavior"]
 
 HARDY_CONFIG = ScenarioConfig(friend_a=True, friend_b=True, read_x=1, read_y=1)
 
+# Shared lab state (|00> + |01> + |10>)/sqrt(3): the record-(1,1) component is absent.
+HARDY_STATE = (1, 1, 1, 0)
 
-class NormalizationError(ValueError):
-    pass
+# Per wing, setting -> outcome vectors: setting 1 reads the friend's record
+# (outcome 0 is the record-0 state, matching the reading protocol), setting 2
+# measures the lab in the (|0> +- |1>)/sqrt(2) basis.  Alice's and Bob's alike.
+HARDY_BASES = ({1: ((1, 0), (0, 1)), 2: ((1, 1), (1, -1))},) * 2
 
 
-def _projector(rows, what: str, unit_trace: bool = False) -> tuple:
-    """`rows` as a tuple of `Fraction` rows, checked to be an orthogonal projector.
+def _dot(u, v):
+    return sum(p * q for p, q in zip(u, v))
 
-    Raises ValueError unless the matrix is square, symmetric and idempotent,
-    and NormalizationError if `unit_trace` is set and the trace is not 1.
+
+def _dimension(wing: int, settings) -> int:
+    """A wing's dimension, its first setting's outcome count, once every setting
+    is checked to give that many nonzero, pairwise orthogonal vectors of that length."""
+    if not settings:
+        raise ValueError(f"wing {wing} has no setting")
+    dim = len(next(iter(settings.values())))
+    for setting, vectors in settings.items():
+        where = f"wing {wing} setting {setting!r}"
+        if len(vectors) != dim or any(len(u) != dim for u in vectors):
+            raise ValueError(f"{where}: needs {dim} outcome vectors of length {dim}")
+        for a, u in enumerate(vectors):
+            if not any(u):
+                raise ValueError(f"{where}: outcome {a} is the zero vector")
+            for b in range(a):
+                if _dot(u, vectors[b]):
+                    raise ValueError(f"{where}: outcomes {b} and {a} are not orthogonal")
+    return dim
+
+
+def born_table(psi, bases) -> dict:
+    """P(outcomes | settings) for the state `psi` measured in `bases`, exactly.
+
+    `bases` holds one map per wing from setting to that setting's outcome
+    vectors.  A cell is each wing's outcome, then each wing's setting, so two
+    wings give (a, b, x, y).  Raises ValueError on a setting that is not an
+    orthogonal basis, on a zero state or one of the wrong length, and on a
+    context that does not sum to 1.
     """
-    m = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    n = len(m)
-    if not n or any(len(row) != n for row in m):
-        raise ValueError(f"{what} matrix must be square")
-    if unit_trace and sum(m[i][i] for i in range(n)) != 1:
-        raise NormalizationError(f"{what} trace is not 1")
-    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
-        raise ValueError(f"{what} matrix is not symmetric")
-    square = tuple(tuple(sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n))
-                   for i in range(n))
-    if square != m:
-        raise ValueError(f"{what} matrix is not idempotent")
-    return m
+    dims = [_dimension(wing, settings) for wing, settings in enumerate(bases)]
+    if len(psi) != math.prod(dims):
+        raise ValueError(f"state has length {len(psi)}, not {math.prod(dims)} "
+                         f"(wing dimensions {dims})")
+    norm = _dot(psi, psi)
+    if not norm:
+        raise ValueError("state is the zero vector")
+    table = {}
+    for settings in itertools.product(*bases):
+        per_wing = [list(enumerate(wing[s])) for wing, s in zip(bases, settings)]
+        total = 0
+        for outcome in itertools.product(*per_wing):
+            vectors = [u for _, u in outcome]
+            amp = _dot(psi, map(math.prod, itertools.product(*vectors)))
+            p = Fraction(amp * amp, norm * math.prod(_dot(u, u) for u in vectors))
+            table[tuple(a for a, _ in outcome) + settings] = p
+            total += p
+        if total != 1:
+            raise ValueError(f"context {settings} probabilities sum to {total}, not 1")
+    return table
 
 
-class StateVector(Record):
-    """Pure state held as its density matrix |psi><psi| (trace-1 projector)."""
-
-    _fields = ("density",)
-    density: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "density", _projector(self.density, "state", unit_trace=True))
-
-
-class Effect(Record):
-    """Projective measurement effect (symmetric idempotent rational matrix)."""
-
-    _fields = ("matrix",)
-    matrix: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _projector(self.matrix, "effect"))
-
-
-class ProbTable(Record):
-    """Exact outcome probabilities per context; each context sums to one."""
-
-    _fields = ("probs",)
-    probs: Mapping[tuple, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", dict(self.probs))
-        for key, p in self.probs.items():
-            if not 0 <= p <= 1:
-                raise ValueError(f"probability out of range at {key}: {p}")
-
-
-def hardy_state() -> StateVector:
-    """Shared lab state (|00> + |01> + |10>)/sqrt(3): the record-(1,1) component is absent."""
-    psi = (1, 1, 1, 0)  # times 1/sqrt(3)
-    return StateVector(tuple(tuple(Fraction(u * v, 3) for v in psi) for u in psi))
-
-
-# Outcome-0 projectors: setting 1 onto record 0, setting 2 onto (|0> + |1>)/sqrt(2).
-_OUTCOME0 = {1: ((1, 0), (0, 0)), 2: ((Fraction(1, 2),) * 2,) * 2}
-
-
-def measurement_effects(setting: int) -> list[Effect]:
-    """Two-outcome projective measurement on one lab qubit, Alice's and Bob's alike.
-
-    Setting 1 projects onto the friend's record basis (outcome 0 is the
-    record-0 state, matching the reading protocol); setting 2 measures in
-    the superposition basis.
-    """
-    if isinstance(setting, bool) or setting not in _OUTCOME0:
-        raise ValueError(f"setting must be 1 or 2, got {setting!r}")
-    p0 = _OUTCOME0[setting]
-    p1 = tuple(tuple(int(i == j) - p0[i][j] for j in range(2)) for i in range(2))
-    return [Effect(p0), Effect(p1)]
-
-
-def born_table(state: StateVector) -> ProbTable:
-    """P(a, b | x, y) = tr(rho (A_x(a) (x) B_y(b))) over HARDY_CONFIG, computed exactly."""
-    if len(state.density) != 4:
-        raise ValueError("born_table expects the 4-dimensional joint state")
-    # tr(rho M) = sum of rho[i][j] * M[j][i] over the nonzero entries of rho,
-    # where M = A (x) B has M[j][i] = A[j // 2][i // 2] * B[j % 2][i % 2]
-    rho = [(i, j, r) for i, row in enumerate(state.density) for j, r in enumerate(row) if r]
-    effects = {s: [e.matrix for e in measurement_effects(s)] for s in _OUTCOME0}
-    probs = {}
-    for x, effects_a in effects.items():
-        for y, effects_b in effects.items():
-            total = 0
-            for a, ma in enumerate(effects_a):
-                for b, mb in enumerate(effects_b):
-                    p = sum(r * ma[j // 2][i // 2] * mb[j % 2][i % 2] for i, j, r in rho)
-                    probs[(a, b, x, y)] = p
-                    total += p
-            if total != 1:
-                raise NormalizationError(
-                    f"context (x={x}, y={y}) probabilities sum to {total}, not 1")
-    return ProbTable(probs)
-
-
-def hardy_behavior(*, table: ProbTable | None = None) -> Behavior:
+def hardy_behavior(*, table: dict | None = None) -> Behavior:
     """Possibility pattern of the Hardy model: a cell is possible iff P != 0.
 
     `table` is the model's Born table; it is computed when not given.
     """
     if table is None:
-        table = born_table(hardy_state())
-    return Behavior(HARDY_CONFIG, {cell: p != 0 for cell, p in table.probs.items()})
+        table = born_table(HARDY_STATE, HARDY_BASES)
+    return Behavior(HARDY_CONFIG, {cell: p != 0 for cell, p in table.items()})

@@ -6,6 +6,7 @@ lines as they happen.
 
 import random
 import time
+from fractions import Fraction
 
 import sympy as sp
 
@@ -14,7 +15,7 @@ from plfkit.formula import (
 )
 from plfkit.kripke import KripkeModel, Model, Unsat, evaluate, recheck_model, solve_depth1
 from plfkit.plfcheck import cd_values, maximal_subtable, plf_feasible
-from plfkit.quantum import born_table, hardy_behavior, hardy_state
+from plfkit.quantum import HARDY_BASES, HARDY_STATE, born_table, hardy_behavior
 from plfkit.scenario import Behavior, ScenarioConfig, check_pns, drop_impossibility, encode
 from plfkit.cli import IMPOSSIBLE_CELLS
 from conftest import random_behavior
@@ -32,21 +33,20 @@ def _report(number, name, ok, extra=""):
 
 
 def test_criterion_1_hardy_zeros():
-    born_table(hardy_state())  # warm-up
+    born_table(HARDY_STATE, HARDY_BASES)  # warm-up
     t0 = time.perf_counter()
-    table = born_table(hardy_state())
+    table = born_table(HARDY_STATE, HARDY_BASES)
     elapsed = time.perf_counter() - t0
-    zeros_ok = all(abs(table.probs[cell]) <= 1e-12
-                   for cell in [(1, 1, 1, 1), (0, 1, 1, 2), (1, 0, 2, 1)])
+    zeros_ok = all(table[cell] == 0 for cell in [(1, 1, 1, 1), (0, 1, 1, 2), (1, 0, 2, 1)])
     _report(1, "hardy zeros", zeros_ok and elapsed < 0.010, f"{elapsed * 1e3:.2f} ms")
 
 
 def test_criterion_2_hardy_nonzero_one_twelfth():
     oracle_value = symbolic_prob(1, 1, 2, 2)  # independent symbolic route
     oracle_ok = oracle_value == sp.Rational(1, 12)
-    numeric = born_table(hardy_state()).probs[(1, 1, 2, 2)]
+    numeric = born_table(HARDY_STATE, HARDY_BASES)[(1, 1, 2, 2)]
     _report(2, "hardy nonzero = 1/12",
-            oracle_ok and abs(numeric - 1 / 12) <= 1e-12, f"numeric {numeric!r}")
+            oracle_ok and numeric == Fraction(1, 12), f"numeric {numeric!r}")
 
 
 def test_criterion_3_no_go_reproduction():

@@ -21,7 +21,7 @@ EXPORTS = {
                "recheck_model", "solve_depth1", "valid"],
     "plfcheck": ["ExtendedTable", "ProofTrace", "Verdict", "maximal_subtable", "plf_feasible",
                  "validate_extended_table"],
-    "quantum": ["born_table", "hardy_behavior", "hardy_state", "measurement_effects"],
+    "quantum": ["HARDY_BASES", "HARDY_STATE", "born_table", "hardy_behavior"],
     "scenario": ["Behavior", "PnsReport", "ScenarioConfig", "check_pns", "encode"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,19 +6,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from plfkit.quantum import (
-    HARDY_CONFIG,
-    Effect,
-    NormalizationError,
-    StateVector,
-    born_table,
-    hardy_behavior,
-    hardy_state,
-    measurement_effects,
-)
+from plfkit.quantum import HARDY_BASES, HARDY_CONFIG, HARDY_STATE, born_table, hardy_behavior
 from plfkit.scenario import check_pns
-
-TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -62,94 +52,132 @@ class TestSymbolicOracle:
         assert symbolic_prob(1, 0, 2, 1) == 0
 
     def test_full_table_matches_numeric(self):
-        table = born_table(hardy_state())
-        for (a, b, x, y), p in table.probs.items():
+        table = born_table(HARDY_STATE, HARDY_BASES)
+        for (a, b, x, y), p in table.items():
             assert isinstance(p, Fraction)
             assert p == symbolic_prob(a, b, x, y)
 
 
 class TestStateAndEffects:
     def test_hardy_state_normalized(self):
-        rho = hardy_state().density
-        assert sum(rho[i][i] for i in range(4)) == 1
+        # the unnormalised state has |psi|^2 = 3, i.e. each amplitude is 1/sqrt(3)
+        assert HARDY_STATE == (1, 1, 1, 0)
+        assert sum(v * v for v in HARDY_STATE) == 3
 
     def test_record11_amplitude_absent(self):
-        rho = hardy_state().density
-        assert all(rho[3][i] == 0 == rho[i][3] for i in range(4))
+        assert HARDY_STATE[3] == 0
 
     def test_overlap_with_equal_superposition_of_first_two(self):
-        # |<other|psi>|^2 = <other| rho |other> for other = (|00> + |01>)/sqrt(2)
-        rho = hardy_state().density
-        assert sum(rho[i][j] for i in (0, 1) for j in (0, 1)) / 2 == Fraction(2, 3)
-
-    def test_bad_norm_rejected(self):
-        # |v><v| for the unnormalised v = |00> + |01>
-        v = (1, 1, 0, 0)
-        with pytest.raises(NormalizationError):
-            StateVector(tuple(tuple(a * b for b in v) for a in v))
+        # |<other|psi>|^2 for other = (|00> + |01>)/sqrt(2) = |0> (x) |+>: Alice
+        # reads record 0 (x = 1, a = 0) and Bob finds + (y = 2, b = 0)
+        assert born_table(HARDY_STATE, HARDY_BASES)[(0, 0, 1, 2)] == Fraction(2, 3)
 
     def test_setting1_outcome0_is_record_projector(self):
-        eff = measurement_effects(1)[0]
-        assert eff.matrix == ((1, 0), (0, 0))
+        # setting 1 is the record basis, outcome 0 the record-0 state
+        assert [wing[1] for wing in HARDY_BASES] == [((1, 0), (0, 1))] * 2
 
     def test_setting2_outcome0_is_plus_projector(self):
-        eff = measurement_effects(2)[0]
-        half = Fraction(1, 2)
-        assert eff.matrix == ((half, half), (half, half))
+        # setting 2 is the +- basis, outcome 0 the + state
+        assert [wing[2] for wing in HARDY_BASES] == [((1, 1), (1, -1))] * 2
 
     @pytest.mark.parametrize("party", ["A", "B"])
     @pytest.mark.parametrize("setting", [1, 2])
     def test_effects_complete_hermitian_idempotent(self, party, setting):
-        # each effect acts on the party's factor of the Alice-lab-major joint space
+        # each outcome vector u is the projector u u^T / |u|^2 on the party's
+        # factor of the Alice-lab-major joint space
         eye = np.eye(2, dtype=int)
-        effects = [np.kron(m, eye) if party == "A" else np.kron(eye, m)
-                   for m in (np.array(e.matrix, dtype=object) for e in measurement_effects(setting))]
+        wing = HARDY_BASES["AB".index(party)]
+        projectors = [np.outer(u, u).astype(object) * Fraction(1, int(np.dot(u, u)))
+                      for u in wing[setting]]
+        effects = [np.kron(m, eye) if party == "A" else np.kron(eye, m) for m in projectors]
         assert (sum(effects) == np.eye(4, dtype=int)).all()
         for m in effects:
             assert (m == m.T).all()
             assert (m @ m == m).all()
 
-    @pytest.mark.parametrize("cls", [StateVector, Effect])
-    def test_non_symmetric_rejected(self, cls):
-        # idempotent with trace 1, but not symmetric
-        with pytest.raises(ValueError, match="not symmetric"):
-            cls(((1, 1), (0, 0)))
-
     def test_non_projector_rejected(self):
-        with pytest.raises(ValueError):
-            Effect(np.array([[0.5, 0.0], [0.0, 0.5]]) * 0.5)
+        # outcome vectors that are not orthogonal make no projective measurement
+        bases = (HARDY_BASES[0], {1: ((1, 0), (0, 1)), 2: ((1, 1), (1, 0))})
+        with pytest.raises(ValueError, match="wing 1 setting 2: outcomes 0 and 1 are not orth"):
+            born_table(HARDY_STATE, bases)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            measurement_effects(3)
+        # a setting with fewer outcome vectors than the wing's dimension is incomplete
+        with pytest.raises(ValueError, match="wing 0 setting 2: needs 2 outcome vectors"):
+            born_table(HARDY_STATE, ({1: ((1, 0), (0, 1)), 2: ((1, 1),)}, HARDY_BASES[1]))
 
-    def test_bool_setting_rejected(self):
-        # True == 1, but a bool names no setting
-        with pytest.raises(ValueError):
-            measurement_effects(True)
+    def test_wrong_vector_length_rejected(self):
+        bases = (HARDY_BASES[0], {1: ((1, 0, 0), (0, 1, 0)), 2: ((1, 1), (1, -1))})
+        with pytest.raises(ValueError, match="wing 1 setting 1: needs 2 .* of length 2"):
+            born_table(HARDY_STATE, bases)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match="wing 0 setting 1: outcome 1 is the zero vector"):
+            born_table(HARDY_STATE, ({1: ((1, 0), (0, 0)), 2: ((1, 1), (1, -1))}, HARDY_BASES[1]))
+
+    def test_bad_norm_rejected(self):
+        # psi may have any norm but 0
+        with pytest.raises(ValueError, match="state is the zero vector"):
+            born_table((0, 0, 0, 0), HARDY_BASES)
+
+    @pytest.mark.parametrize("psi", [(1, 1, 1), (1, 1, 1, 0, 0)])
+    def test_wrong_state_length_rejected(self, psi):
+        with pytest.raises(ValueError, match=f"state has length {len(psi)}, not 4"):
+            born_table(psi, HARDY_BASES)
+
+    def test_a_wing_with_no_setting_rejected(self):
+        with pytest.raises(ValueError, match="wing 1 has no setting"):
+            born_table(HARDY_STATE, (HARDY_BASES[0], {}))
 
 
 class TestBornTable:
     def test_zero_probability_cells(self):
-        table = born_table(hardy_state())
+        table = born_table(HARDY_STATE, HARDY_BASES)
         for cell in [(1, 1, 1, 1), (0, 1, 1, 2), (1, 0, 2, 1)]:
-            assert abs(table.probs[cell]) <= TOL
+            assert table[cell] == 0
 
     def test_headline_nonzero_is_one_twelfth(self):
-        table = born_table(hardy_state())
-        assert abs(table.probs[(1, 1, 2, 2)] - 1 / 12) <= TOL
+        table = born_table(HARDY_STATE, HARDY_BASES)
+        assert table[(1, 1, 2, 2)] == Fraction(1, 12)
 
     def test_reading_context_value(self):
-        assert abs(born_table(hardy_state()).probs[(0, 0, 1, 1)] - 1 / 3) <= TOL
+        assert born_table(HARDY_STATE, HARDY_BASES)[(0, 0, 1, 1)] == Fraction(1, 3)
 
     def test_contexts_sum_to_one(self):
-        table = born_table(hardy_state())
+        table = born_table(HARDY_STATE, HARDY_BASES)
+        assert set(table) == set(HARDY_CONFIG.cells())
         for (x, y) in HARDY_CONFIG.contexts():
-            total = sum(table.probs[(a, b, x, y)] for a in (0, 1) for b in (0, 1))
-            assert abs(total - 1.0) <= 1e-9
+            assert sum(table[(a, b, x, y)] for a in (0, 1) for b in (0, 1)) == 1
 
     def test_probabilities_in_range(self):
-        assert all(-TOL <= p <= 1 + TOL for p in born_table(hardy_state()).probs.values())
+        assert all(0 <= p <= 1 for p in born_table(HARDY_STATE, HARDY_BASES).values())
+
+    def test_scaled_state_and_vectors_give_the_same_table(self):
+        # psi and every outcome vector enter up to scale only
+        scaled = ({1: ((3, 0), (0, -2)), 2: ((2, 2), (-1, 1))}, HARDY_BASES[1])
+        assert born_table((5, 5, 5, 0), scaled) == born_table(HARDY_STATE, HARDY_BASES)
+
+    def test_first_wing_is_most_significant(self):
+        # index 2*c + d holds Alice's record c and Bob's record d: psi = |0>|1>
+        table = born_table((0, 1, 0, 0), HARDY_BASES)
+        assert table[(0, 1, 1, 1)] == 1
+
+
+class TestGraphState:
+    """Three wings: the graph state psi[a,b,c] = (-1)^(ab+bc+ca) read in Z or X."""
+
+    PSI = tuple((-1) ** (a * b + b * c + c * a) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+    WING = {"Z": ((1, 0), (0, 1)), "X": ((1, 1), (1, -1))}
+
+    def test_supports(self):
+        table = born_table(self.PSI, (self.WING,) * 3)
+        outcomes = list(itertools.product((0, 1), repeat=3))
+        even = {o for o in outcomes if sum(o) % 2 == 0}
+        odd = set(outcomes) - even
+        expected = {"XZZ": even, "ZXZ": even, "ZZX": even, "XXX": odd}
+        for settings in itertools.product("ZX", repeat=3):
+            support = {o for o in outcomes if table[o + settings]}
+            assert support == expected.get("".join(settings), set(outcomes)), settings
 
 
 class TestHardyBehavior:
@@ -165,7 +193,7 @@ class TestHardyBehavior:
         assert check_pns(hardy_behavior()).holds
 
     def test_given_table_gives_the_same_behavior(self):
-        assert hardy_behavior(table=born_table(hardy_state())) == hardy_behavior()
+        assert hardy_behavior(table=born_table(HARDY_STATE, HARDY_BASES)) == hardy_behavior()
 
 
 class TestFriendLabEquivalence:
@@ -207,7 +235,7 @@ class TestFriendLabEquivalence:
             (2, 0): np.array([1, 1], dtype=complex) / math.sqrt(2),
             (2, 1): np.array([1, -1], dtype=complex) / math.sqrt(2),
         }
-        small_table = born_table(hardy_state())
+        small_table = born_table(HARDY_STATE, HARDY_BASES)
         eye4 = np.eye(4, dtype=complex)
         for x in (1, 2):
             for y in (1, 2):
@@ -220,4 +248,4 @@ class TestFriendLabEquivalence:
                         ea = pa if a == 0 else eye4 - pa
                         eb = pb if b == 0 else eye4 - pb
                         big_p = np.vdot(big_state, np.kron(ea, eb) @ big_state).real
-                        assert abs(big_p - small_table.probs[(a, b, x, y)]) <= 1e-11
+                        assert abs(big_p - small_table[(a, b, x, y)]) <= 1e-11
