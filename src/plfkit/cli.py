@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success / feasible / sat / true; 1 infeasible / unsat /
 violation / false; 2 usage or input error, or a closed stdout; 3 internal
-error (the routes disagree, or a witness table or model fails its check).
-An error is one line on stderr.
+error (the routes disagree, a witness table or model fails its check, or
+any other fault inside a subcommand).  An error is one line on stderr.
 
 A subcommand prints nothing but returns a `RunReport`; `main` writes its
 --out files, then its text or, under --json, the report itself.
@@ -110,10 +110,24 @@ class _InternalError(Exception):
     """The table route and the modal route, or a model and its recheck, disagree."""
 
 
-def _check_routes_agree(feasible: bool, satisfiable: bool) -> None:
-    if feasible != satisfiable:
+def _decide(beh):
+    """(verdict, problem, result): the table route's verdict on `beh`, its
+    modal encoding and the modal route's result, certified.  The two routes
+    must agree, and a feasible verdict's witness table and model must pass
+    their checks; anything else is an `_InternalError`."""
+    from . import kripke, plfcheck, scenario
+    verdict = plfcheck.plf_feasible(beh)
+    problem = scenario.encode(beh)
+    result = kripke.solve_depth1(problem)
+    satisfiable = isinstance(result, kripke.Model)
+    if verdict.feasible != satisfiable:
         raise _InternalError("table route and modal route disagree "
-                             f"(table: {feasible}, modal: {satisfiable})")
+                             f"(table: {verdict.feasible}, modal: {satisfiable})")
+    if verdict.feasible and not plfcheck.validate_extended_table(verdict.witness, beh):
+        raise _InternalError("the table route's witness table fails its check")
+    if verdict.feasible and not kripke.recheck_model(problem, result.points):
+        raise _InternalError("the modal route's model fails its recheck")
+    return verdict, problem, result
 
 
 def _ast_dump(f) -> dict:
@@ -185,16 +199,9 @@ def cmd_check(args) -> RunReport:
         return report
 
     from . import kripke, plfcheck
-    verdict = plfcheck.plf_feasible(beh)
-    problem = scenario.encode(beh)
-    sat = kripke.solve_depth1(problem)
-    _check_routes_agree(verdict.feasible, isinstance(sat, kripke.Model))
-    if verdict.feasible and not plfcheck.validate_extended_table(verdict.witness, beh):
-        raise _InternalError("the table route's witness table fails its check")
-    if verdict.feasible and not kripke.recheck_model(problem, sat.points):
-        raise _InternalError("the modal route's model fails its recheck")
+    verdict, _, result = _decide(beh)
     report.verdicts = {"feasible": verdict.feasible,
-                       "modal_satisfiable": isinstance(sat, kripke.Model)}
+                       "modal_satisfiable": isinstance(result, kripke.Model)}
     report.exit_code = EXIT_OK if verdict.feasible else EXIT_NEGATIVE
     report.stdout = "possibilistic local friendliness: " + (
         "feasible\n" if verdict.feasible
@@ -210,11 +217,6 @@ def cmd_check(args) -> RunReport:
 def cmd_hardy(args) -> RunReport:
     from . import quantum, scenario
     report = RunReport(command="hardy")
-    if args.epsilon is not None:
-        if not 0.0 < args.epsilon <= 1e-3:
-            raise _InputError(f"epsilon must lie in (0, 1e-3], got {args.epsilon!r}")
-        print("note: --epsilon is deprecated and has no effect: the probabilities are "
-              "exact, so a cell is possible iff P != 0", file=sys.stderr)
     table = quantum.born_table(quantum.HARDY_STATE, quantum.HARDY_BASES)
     beh = quantum.hardy_behavior(table=table)
 
@@ -234,7 +236,6 @@ def cmd_hardy(args) -> RunReport:
     report.stdout = _dumps(behavior, sort_keys=True) + "\n"
     report.verdicts = {
         "headline": headline,
-        "epsilon": args.epsilon,
         "behavior": behavior,
         "probabilities": probabilities,
     }
@@ -254,21 +255,18 @@ def cmd_prove(args) -> RunReport:
     report = RunReport(command="prove")
     lines: list[str] = []
     ok = True
+    cells = {name: "(A={},B={}|X={},Y={})".format(*c) for name, c in IMPOSSIBLE_CELLS.items()}
 
     beh = quantum.hardy_behavior()
     pns = scenario.check_pns(beh)
     lines.append("Hardy-type behavior from the quantum model:")
     lines.append("  impossible superobserver events: "
-                 + ", ".join(f"{name}=(A={a},B={b}|X={x},Y={y})"
-                             for name, (a, b, x, y) in sorted(IMPOSSIBLE_CELLS.items())))
+                 + ", ".join(f"{name}={cells[name]}" for name in sorted(cells)))
     lines.append(f"  possibilistic no-signalling holds: {pns.holds}")
     ok &= pns.holds
 
-    problem = scenario.encode(beh)
-    sat = kripke.solve_depth1(problem)
+    verdict, problem, sat = _decide(beh)
     modal_unsat = isinstance(sat, kripke.Unsat)
-    verdict = plfcheck.plf_feasible(beh)
-    _check_routes_agree(verdict.feasible, not modal_unsat)
     lines.append(f"  modal route (depth-1 satisfiability): {'UNSAT' if modal_unsat else 'SAT'}")
     lines.append(f"  table route (extended-table feasibility): "
                  f"{'infeasible' if not verdict.feasible else 'feasible'}")
@@ -296,9 +294,7 @@ def cmd_prove(args) -> RunReport:
             raise _InternalError(f"the model without the impossibility of {name} fails its recheck")
         relaxations[name] = {"satisfiable": is_sat, "recheck": is_sat}
         lines.append("")
-        lines.append(f"Dropping the impossibility of {name} "
-                     f"(A={IMPOSSIBLE_CELLS[name][0]},B={IMPOSSIBLE_CELLS[name][1]}"
-                     f"|X={IMPOSSIBLE_CELLS[name][2]},Y={IMPOSSIBLE_CELLS[name][3]}): "
+        lines.append(f"Dropping the impossibility of {name} {cells[name]}: "
                      f"{'SAT' if is_sat else 'UNSAT'}"
                      + (", witness re-verified by the evaluator" if is_sat else ""))
         if is_sat:
@@ -361,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("hardy", help="build the Hardy-type quantum behavior")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="deprecated and ignored: the probabilities are exact, so a cell "
-                        "is possible iff P != 0; still range-checked in (0, 1e-3]")
     common(p, "write hardy_probs.json and hardy_behavior.json into directory PATH")
     p.set_defaults(func=cmd_hardy)
 
@@ -407,6 +400,10 @@ def main(argv=None) -> int:
         # the library's own formulas nest a few levels, so only input overflows
         print("error: input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # any other fault: exit 3, never a code that reads as a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return report.exit_code
 
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from plfkit import kripke, plfcheck, scenario
+from plfkit import cli, kripke, plfcheck, quantum, scenario
 from plfkit.cli import EXIT_INTERNAL, main
 from plfkit.scenario import behavior_from_json, behavior_to_json
 from plfkit.quantum import hardy_behavior
@@ -183,24 +183,24 @@ class TestHardy:
         beh = behavior_from_json(capsys.readouterr().out)
         assert beh == hardy_behavior()
 
-    def test_epsilon_invariance_and_byte_stability(self, tmp_path, capsys):
+    def test_out_is_byte_stable(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["hardy", "--out", str(out1)]) == 0
-        assert main(["hardy", "--epsilon", "1e-6", "--out", str(out2)]) == 0
+        assert main(["hardy", "--out", str(out2)]) == 0
         assert (out1 / "hardy_behavior.json").read_bytes() == \
                (out2 / "hardy_behavior.json").read_bytes()
         assert (out1 / "hardy_probs.json").read_bytes() == \
                (out2 / "hardy_probs.json").read_bytes()
 
-    def test_epsilon_is_deprecated(self, capsys):
-        assert main(["hardy"]) == 0
-        plain = capsys.readouterr()
-        assert main(["hardy", "--epsilon", "1e-6"]) == 0
-        given = capsys.readouterr()
-        assert given.out == plain.out
-        note, *rest = given.err.splitlines()
-        assert note.startswith("note: --epsilon is deprecated")
-        assert rest == plain.err.splitlines()
+    def test_no_epsilon(self, capsys):
+        """The probabilities are exact, so there is no threshold to set:
+        `--epsilon` is an unknown argument and the report has no such key."""
+        with pytest.raises(SystemExit) as exc:
+            main(["hardy", "--epsilon", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+        assert main(["hardy", "--json"]) == 0
+        assert "epsilon" not in json.loads(capsys.readouterr().out)["verdicts"]
 
     def test_json_report(self, capsys):
         assert main(["hardy", "--json"]) == 0
@@ -258,6 +258,49 @@ class TestProve:
         assert "Dropping the impossibility of E4 (A=1,B=1|X=1,Y=1): UNSAT" in out
 
 
+@pytest.mark.parametrize("sub", ["check", "prove"])
+def test_modal_route_disagreement_is_an_internal_error(sub, hardy_file, monkeypatch, capsys):
+    """A modal route that finds a model for the Hardy behavior, which the
+    table route refutes, exits 3 with both verdicts on one line."""
+    monkeypatch.setattr(kripke, "solve_depth1", lambda problem: kripke.Model(frozenset()))
+    argv = {"check": ["check", hardy_file], "prove": ["prove"]}[sub]
+    for json_flag in ([], ["--json"]):
+        assert main(argv + json_flag) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "disagree" in line and "table: False" in line and "modal: True" in line
+
+
+# subcommand -> (argv, the module attribute it calls that is made to fail)
+FAULTS = {
+    "parse": (["parse", "A"], (cli, "parse_formula")),
+    "eval": (["eval", "{model}", "w0", "<>Q"], (kripke, "evaluate")),
+    "check": (["check", "{hardy}"], (scenario, "encode")),
+    "hardy": (["hardy"], (quantum, "born_table")),
+    "prove": (["prove"], (scenario, "check_pns")),
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("sub", list(FAULTS))
+def test_fault_inside_a_subcommand_exits_3(sub, json_flag, model_file, hardy_file,
+                                           monkeypatch, capsys):
+    """An unexpected exception is an internal error: exit 3 and one line,
+    never a traceback and exit 1, which would read as a negative verdict."""
+    argv, (module, name) = FAULTS[sub]
+
+    def fail(*args, **kwargs):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(module, name, fail)
+    assert main([a.format(model=model_file, hardy=hardy_file) for a in argv] + json_flag) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == "internal error: KeyError: 'planted'"
+
+
 def _relabel_a0(data, label):
     """The behavior JSON with Alice's outcome 0 renamed to `label`, cells too."""
     return {**data, "a_values": [label, 1],
@@ -266,10 +309,6 @@ def _relabel_a0(data, label):
 
 class TestBoundaryErrors:
     """Bad inputs exit 2 with a one-line message, never 1 or a traceback."""
-
-    def test_hardy_epsilon_out_of_range(self, capsys):
-        assert main(["hardy", "--epsilon", "0.5"]) == 2
-        assert_one_line_error(capsys)
 
     def test_check_out_into_missing_directory(self, hardy_file, tmp_path, capsys):
         out = tmp_path / "missing" / "trace.json"
