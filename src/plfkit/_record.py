@@ -1,7 +1,9 @@
 """Immutable value records: the semantics of a frozen dataclass, without
 generating code when a class is defined.
 
-A subclass of `Record` names its fields, in order, in `_fields`.  Two
+A subclass of `Record` names its fields, in order, as its annotations,
+which `__init_subclass__` copies to `_fields`; a slotted subclass names
+them in `__slots__ = _fields = (...)` and annotates nothing.  Two
 records are equal iff they are of the same class and their fields are
 equal, and equal records hash alike; `repr` is `Name(field=value!r, ...)`;
 assigning or deleting any attribute raises AttributeError.  Constructors
@@ -27,7 +29,13 @@ class Record:
     """Base of plfkit's immutable value classes; see the module docstring."""
 
     __slots__ = ()
-    _fields: tuple = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # a class's own annotations only (Python >= 3.10): a subclass that
+        # annotates nothing keeps its base's fields
+        if cls.__annotations__:
+            cls._fields = tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
         """Binds the arguments to `_fields` as a dataclass `__init__` does,

@@ -165,13 +165,10 @@ def cmd_eval(args) -> RunReport:
         f = parse_formula(args.formula)
     except (OSError, ValueError, FormulaSyntaxError) as exc:
         raise _InputError(str(exc)) from exc
-    try:
-        if args.validity:
-            result = kripke.valid(model, f)
-        else:
-            result = kripke.evaluate(model, args.world, f)
-    except kripke.UnknownWorldError as exc:
-        raise _InputError(f"unknown world: {exc}") from exc
+    # checked in both modes, though --validity reads every world
+    if args.world not in model.worlds:
+        raise _InputError(f"unknown world: {args.world!r}")
+    result = kripke.valid(model, f) if args.validity else kripke.evaluate(model, args.world, f)
     report.verdicts = {"result": result, "validity": args.validity}
     report.exit_code = EXIT_OK if result else EXIT_NEGATIVE
     report.stdout = "true\n" if result else "false\n"

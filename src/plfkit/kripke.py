@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 from types import SimpleNamespace
-from typing import Mapping, Union
 
 from ._record import Record, json_object
 from .formula import (
@@ -102,10 +101,9 @@ class KripkeModel(Record):
     conditions (reflexivity, seriality, ...) are imposed.
     """
 
-    _fields = ("worlds", "relation", "valuation")
     worlds: frozenset
     relation: frozenset
-    valuation: Mapping[Atom, frozenset]
+    valuation: dict[Atom, frozenset]
 
     def __post_init__(self):
         object.__setattr__(self, "worlds", frozenset(self.worlds))
@@ -285,7 +283,7 @@ class Conditional(Record):
 _set_body = _BodyClause.body.__set__
 _set_antecedent, _set_consequent = Conditional.antecedent.__set__, Conditional.consequent.__set__
 
-Clause = Union[MustAll, Forbidden, Required, Conditional]
+Clause = MustAll | Forbidden | Required | Conditional
 
 
 def clause_formula(c: Clause) -> Formula:
@@ -315,8 +313,7 @@ class Depth1Problem(Record):
     outside its domain holds at no point.
     """
 
-    _fields = ("atom_domains", "constraints")
-    atom_domains: Mapping[str, tuple]
+    atom_domains: dict[str, tuple]
     constraints: tuple
 
     def __post_init__(self):
@@ -345,23 +342,20 @@ class UnsatCore(Record):
     Each point is a sorted tuple of (variable, value) pairs.
     """
 
-    _fields = ("required", "never_candidates", "removals")
     required: Required
     never_candidates: tuple  # points failing the MustAll/Forbidden filter, in grid order
     removals: tuple  # (Conditional, (removed candidate points...)) in firing order
 
 
 class Model(Record):
-    _fields = ("points",)
     points: frozenset  # of points: sorted ((variable, value), ...) tuples
 
 
 class Unsat(Record):
-    _fields = ("core",)
     core: UnsatCore
 
 
-SatResult = Union[Model, Unsat]
+SatResult = Model | Unsat
 
 
 def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:

@@ -16,7 +16,6 @@ the behavior is feasible iff the slice maxima jointly cover it.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Mapping, Optional
 
 from ._record import Record
 from .scenario import Behavior, ScenarioConfig
@@ -49,7 +48,6 @@ def cd_values(cfg: ScenarioConfig):
 class RemovalStep(Record):
     """One elimination during slice deflation."""
 
-    _fields = ("kind", "cells", "detail")
     kind: str  # "reading" or "marginal"
     cells: tuple  # killed (a, b, x, y) cells
     detail: str
@@ -61,9 +59,8 @@ class RemovalStep(Record):
 class SliceTable(Record):
     """Maximal valid sub-table for one (c, d), with its elimination log."""
 
-    _fields = ("cd", "cells", "steps")
     cd: tuple
-    cells: Mapping[tuple, bool]
+    cells: dict[tuple, bool]
     steps: tuple
 
 
@@ -75,15 +72,13 @@ class ExtendedTable(Record):
     not by the constructor, so counterexample tables can be built in tests.
     """
 
-    _fields = ("config", "entries")
     config: ScenarioConfig
-    entries: Mapping[tuple, bool]
+    entries: dict[tuple, bool]
 
 
 class ProofTrace(Record):
     """Infeasibility certificate: a possible cell no slice can retain."""
 
-    _fields = ("target_cell", "branches")
     target_cell: tuple
     branches: tuple  # ((c, d), (RemovalStep, ...)) per slice
 
@@ -98,10 +93,9 @@ class ProofTrace(Record):
 
 
 class Verdict(Record):
-    _fields = ("feasible", "witness", "trace")
     feasible: bool
-    witness: Optional[ExtendedTable]
-    trace: Optional[ProofTrace]
+    witness: ExtendedTable | None
+    trace: ProofTrace | None
 
     def __post_init__(self):
         assert self.feasible == (self.witness is not None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Mapping, NamedTuple
 
 from ._record import Record, json_object
 from .formula import And, Atom, Implies, conj, disj
@@ -30,7 +29,7 @@ __all__ = [
 ]
 
 
-class Wing(NamedTuple):
+class Wing(Record):
     """One party's labels and its marginal-event table.
 
     `events` maps each event (outcome, own setting) to one column of cells
@@ -50,7 +49,7 @@ class Wing(NamedTuple):
     events: dict
 
 
-class CellIndex(NamedTuple):
+class CellIndex(Record):
     """The cells of a config as the bits of an int, for the table route.
 
     A set of cells is the sum of their bits; cell i of `cells` has the bit
@@ -66,8 +65,6 @@ class ScenarioConfig(Record):
     """The labels of a scenario and its friends; each field's default is the
     class attribute of its name."""
 
-    _fields = ("x_values", "y_values", "a_values", "b_values",
-               "friend_a", "friend_b", "read_x", "read_y")
     x_values: tuple = (1, 2)
     y_values: tuple = (1, 2)
     a_values: tuple = (0, 1)
@@ -129,9 +126,8 @@ class ScenarioConfig(Record):
 class Behavior(Record):
     """Possibility table over (a, b, x, y), total over the domain product."""
 
-    _fields = ("config", "possible")
     config: ScenarioConfig
-    possible: Mapping[tuple, bool]
+    possible: dict[tuple, bool]
 
     def __post_init__(self):
         table = {}
@@ -177,7 +173,6 @@ def _in_domain(domain: dict, cell: tuple) -> bool:
 class PnsReport(Record):
     """Possibilistic no-signalling verdict; holds iff no violations."""
 
-    _fields = ("holds", "violations")
     holds: bool
     violations: tuple
 

@@ -95,6 +95,11 @@ class TestEval:
     def test_unknown_world_exit_2(self, model_file):
         assert main(["eval", model_file, "w9", "Q"]) == 2
 
+    def test_unknown_world_exit_2_with_validity(self, model_file, capsys):
+        """--validity reads every world, but WORLD must still name one of them."""
+        assert main(["eval", model_file, "nosuch", "Q | ~Q", "--validity"]) == 2
+        assert assert_one_line_error(capsys) == "error: unknown world: 'nosuch'"
+
     @pytest.mark.parametrize("data, message", [
         ({"worlds": [["w"]], "relation": [], "valuation": {}}, "world names"),
         ({"worlds": ["w"], "relation": [["w"]], "valuation": {}}, "pair"),
@@ -616,12 +621,10 @@ IMPORT_GRAPH = {
 }
 
 
-@pytest.mark.parametrize("sub", list(IMPORT_GRAPH))
-def test_subcommand_import_graph(sub, model_file, hardy_file):
-    """Each subcommand loads exactly the plfkit modules it runs, and only a
-    --json report loads hashlib."""
-    argv, code, modules, stdlib = IMPORT_GRAPH[sub]
-    argv = [a.format(model=model_file, hardy=hardy_file) for a in argv]
+def _traced_subcommand(sub, model_file, hardy_file, watch, flags=()):
+    """(exit code, the plfkit modules loaded, the modules of `watch` loaded,
+    stderr) after `python *flags` runs the IMPORT_GRAPH case `sub` of the CLI."""
+    argv = [a.format(model=model_file, hardy=hardy_file) for a in IMPORT_GRAPH[sub][0]]
     script = (
         "import json, runpy, sys\n"
         f"sys.argv = ['plfkit', *{argv!r}]\n"
@@ -630,15 +633,36 @@ def test_subcommand_import_graph(sub, model_file, hardy_file):
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('plfkit')),\n"
-        "                  [m for m in ('hashlib', 'fractions', 'decimal') if m in sys.modules]]),\n"
+        f"                  [m for m in {watch!r} if m in sys.modules]]),\n"
         "      file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", script], stdin=subprocess.DEVNULL,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], stdin=subprocess.DEVNULL,
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=60)
-    got_code, loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
-    assert got_code == code, proc.stderr
+    return (*json.loads(proc.stderr.splitlines()[-1]), proc.stderr)
+
+
+@pytest.mark.parametrize("sub", list(IMPORT_GRAPH))
+def test_subcommand_import_graph(sub, model_file, hardy_file):
+    """Each subcommand loads exactly the plfkit modules it runs, and only a
+    --json report loads hashlib."""
+    _, code, modules, stdlib = IMPORT_GRAPH[sub]
+    got_code, loaded, heavy, err = _traced_subcommand(
+        sub, model_file, hardy_file, ("hashlib", "fractions", "decimal"))
+    assert got_code == code, err
     assert set(loaded) == {"plfkit", "plfkit._record", "plfkit.formula"} | modules
     assert set(heavy) == stdlib
+
+
+@pytest.mark.parametrize("sub", ["parse", "eval", "check", "check --mode pns", "hardy", "prove"])
+def test_subcommand_loads_no_typing(sub, model_file, hardy_file):
+    """Run with no site-packages (python -S), whose .pth files may preload
+    it, no subcommand loads typing or dataclasses: a record's fields are its
+    annotations, kept as strings, and the clause and result aliases are
+    `A | B` unions."""
+    got_code, _, loaded, err = _traced_subcommand(
+        sub, model_file, hardy_file, ("typing", "dataclasses"), flags=["-S"])
+    assert got_code == IMPORT_GRAPH[sub][1], err
+    assert loaded == []
 
 
 def _digest(path) -> str:

@@ -2,16 +2,20 @@
 a hash that agrees with it, no assignment or deletion, and construction,
 copy and pickle as a frozen dataclass has them."""
 
+import ast
 import copy
+import inspect
 import itertools
 import pickle
 
 import pytest
 
+import plfkit.plfcheck  # noqa: F401  (its records, for RECORDS below)
+from plfkit._record import Record
 from plfkit.formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or
 from plfkit.kripke import Conditional, Forbidden, KripkeModel, MustAll, Required, UnsatCore
 from plfkit.quantum import hardy_behavior
-from plfkit.scenario import ScenarioConfig
+from plfkit.scenario import CellIndex, ScenarioConfig, Wing
 
 A, B = Atom("A"), Atom("B", "1")
 ONE_FIELD = [Not, Diamond, Box, MustAll, Forbidden, Required]
@@ -86,3 +90,35 @@ def test_generic_constructor_binds_like_a_dataclass():
 def test_copy_and_pickle_rebuild_an_equal_record(rec):
     for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
         assert twin == rec and type(twin) is type(rec)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+RECORDS = [cls for cls in _subclasses(Record) if cls.__module__.startswith("plfkit.")]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__qualname__ for cls in RECORDS])
+def test_fields_are_named_once(cls):
+    """A record's fields are its own `__slots__` when slotted, else its own
+    annotations; a class that names neither keeps its base's.  Only a
+    slotted class assigns `_fields`, as `__slots__ = _fields = (...)`."""
+    body = ast.parse(inspect.getsource(cls)).body[0].body
+    assigned = {target.id for stmt in body if isinstance(stmt, ast.Assign)
+                for target in stmt.targets if isinstance(target, ast.Name)}
+    if vars(cls).get("__slots__"):
+        assert cls._fields == cls.__slots__ and not cls.__annotations__
+    else:
+        assert "_fields" not in assigned
+        assert cls._fields == (tuple(cls.__annotations__) or cls.__base__._fields)
+
+
+def test_wing_and_cell_index_are_records():
+    wing = ScenarioConfig(friend_a=True).wings[0]
+    assert isinstance(wing, Wing) and isinstance(ScenarioConfig().cell_index, CellIndex)
+    assert {Wing, CellIndex} <= set(RECORDS)
+    assert repr(wing).startswith("Wing(index=0, name='Alice', outcome='A', setting='X', "
+                                 "record='C', friend=True, read=1, outcomes=(0, 1), ")

@@ -392,6 +392,40 @@ def test_friendless_satisfiability_is_pns(rng):
         assert sat == check_pns(beh).holds
 
 
+def _compiled_masks(prob):
+    return (prob._start, [(ant, cons) for _, ant, cons in prob._conds],
+            [mask for _, mask in prob._reqs])
+
+
+@pytest.mark.parametrize("settings, outcomes", [(3, 2), (2, 3), (3, 3)],
+                         ids=["3x2", "2x3", "3x3"])
+def test_compiled_masks_depend_only_on_the_shape(rng, settings, outcomes):
+    # a behavior and its copy with every label replaced by a fresh one in
+    # the same position (same sizes, friends and read-setting positions)
+    # compile to the same masks: the grid runs over each domain in label
+    # order, whatever the labels are
+    fresh = [*range(10, 40), *"pqrstuvw"]
+    for friend_a, friend_b in itertools.product((False, True), repeat=2):
+        for _ in range(3):
+            sizes = {"x_values": settings, "y_values": settings,
+                     "a_values": outcomes, "b_values": outcomes}
+            old = {name: tuple(range(n)) for name, n in sizes.items()}
+            new = {name: tuple(rng.sample(fresh, n)) for name, n in sizes.items()}
+            read_x, read_y = rng.randrange(settings), rng.randrange(settings)
+            cfg = ScenarioConfig(**old, friend_a=friend_a, friend_b=friend_b,
+                                 read_x=read_x, read_y=read_y)
+            twin = ScenarioConfig(**new, friend_a=friend_a, friend_b=friend_b,
+                                  read_x=new["x_values"][read_x], read_y=new["y_values"][read_y])
+            beh = random_behavior(rng, cfg, p=rng.choice([0.5, 0.7]))
+            relabel = [dict(zip(old[name], new[name]))
+                       for name in ("a_values", "b_values", "x_values", "y_values")]
+            renamed = Behavior(twin, {tuple(m[v] for m, v in zip(relabel, cell)): possible
+                                      for cell, possible in beh.possible.items()})
+            prob, twin_prob = encode(beh), encode(renamed)
+            assert prob.atom_domains != twin_prob.atom_domains
+            assert _compiled_masks(prob) == _compiled_masks(twin_prob)
+
+
 class TestBehaviorJson:
     def test_roundtrip(self, hardy_beh):
         data = behavior_to_json(hardy_beh)
