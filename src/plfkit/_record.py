@@ -6,7 +6,10 @@ which `__init_subclass__` copies to `_fields`; a slotted subclass names
 them in `__slots__ = _fields = (...)` and annotates nothing.  Two
 records are equal iff they are of the same class and their fields are
 equal, and equal records hash alike; `repr` is `Name(field=value!r, ...)`;
-assigning or deleting any attribute raises AttributeError.  Constructors
+assigning or deleting any attribute raises AttributeError.  Equality, hash,
+repr, copy and pickle walk a record's fields with a stack of their own,
+descending into each field that holds a record, so they answer at any
+depth, such as that of the deepest formula `parse` accepts.  Constructors
 that run once per formula node write their own `__slots__` and `__init__`;
 the others inherit the generic `__init__` below.  `object.__setattr__`
 still sets an attribute, which is how constructors store normalised fields
@@ -72,17 +75,41 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    def _preorder(self):
+        # records as their classes, other field values as themselves: a class
+        # fixes its number of fields, so no record's sequence is a proper
+        # prefix of another's
+        todo = [self]
+        while todo:
+            r = todo.pop()
+            if isinstance(r, Record):
+                yield r.__class__
+                todo += reversed(r._values())
+            else:
+                yield r
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(a == b for a, b in zip(self._preorder(), other._preorder()))
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(self._preorder()))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        out, todo = [], [(self,)]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):  # literal text
+                out.append(item)
+            elif isinstance(r := item[0], Record):
+                out.append(r.__class__.__qualname__ + "(")
+                todo.append(")")
+                for i, name in reversed(list(enumerate(r._fields))):
+                    todo += [(getattr(r, name),), ", " * bool(i) + name + "="]
+            else:
+                out.append(repr(r))
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -91,9 +118,20 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, since the default
-        # protocol restores slots by assignment
-        return type(self), self._values()
+        # copy and pickle rebuild through the constructors, since the default
+        # protocol restores slots by assignment; from the flat preorder, since
+        # a reduction per record would recurse once per level
+        return _from_preorder, (tuple(self._preorder()),)
+
+
+def _from_preorder(items) -> Record:
+    """The record whose `_preorder()` is items, built from the last item up."""
+    stack = []
+    for item in reversed(items):
+        if isinstance(item, type) and issubclass(item, Record):
+            item = item(*[stack.pop() for _ in item._fields])
+        stack.append(item)
+    return stack.pop()
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 # Only the formula layer is imported here: each subcommand imports the modules
 # it runs, so `parse` loads no model checker and only `hardy` and `prove`
@@ -48,7 +47,7 @@ class RunReport:
         self.inputs: dict = {}  # path -> the bytes that were decided
         self.verdicts: dict = {}
         self.exit_code = EXIT_OK
-        self.files: dict = {}  # Path -> text, for --out
+        self.files: dict = {}  # path -> text, for --out
         self.stdout = self.stderr = ""
 
     def to_json(self) -> str:
@@ -98,7 +97,8 @@ def _read_input(path: str) -> tuple[str, bytes]:
     if path == "-":
         text = sys.stdin.read()
         return text, text.encode()
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     return data.decode(), data
 
 
@@ -207,7 +207,7 @@ def cmd_check(args) -> RunReport:
         payload = {"witness": [list(k) for k, v in sorted(
             verdict.witness.entries.items(), key=lambda kv: tuple(str(p) for p in kv[0])) if v]
         } if verdict.feasible else verdict.trace.to_dict()
-        report.files[Path(args.out)] = _dumps(payload, sort_keys=True) + "\n"
+        report.files[args.out] = _dumps(payload, sort_keys=True) + "\n"
     return report
 
 
@@ -237,13 +237,14 @@ def cmd_hardy(args) -> RunReport:
         "probabilities": probabilities,
     }
     if args.out:
-        outdir = Path(args.out)
+        outdir = args.out
         try:
-            outdir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise _InputError(f"cannot create {outdir}: {exc.strerror or exc}") from exc
-        report.files = {outdir / "hardy_probs.json": _dumps(probabilities, sort_keys=True) + "\n",
-                        outdir / "hardy_behavior.json": report.stdout}
+        report.files = {
+            os.path.join(outdir, "hardy_probs.json"): _dumps(probabilities, sort_keys=True) + "\n",
+            os.path.join(outdir, "hardy_behavior.json"): report.stdout}
     return report
 
 
@@ -310,7 +311,7 @@ def cmd_prove(args) -> RunReport:
     report.exit_code = EXIT_OK if ok else EXIT_NEGATIVE
     report.stdout = "\n".join(lines) + "\n"
     if args.out:
-        report.files[Path(args.out)] = report.stdout
+        report.files[args.out] = report.stdout
     return report
 
 
@@ -373,7 +374,8 @@ def main(argv=None) -> int:
         report = args.func(args)
         for path, text in report.files.items():
             try:
-                path.write_text(text)
+                with open(path, "w") as fh:
+                    fh.write(text)
             except OSError as exc:
                 raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         if args.json:

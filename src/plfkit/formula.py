@@ -54,71 +54,14 @@ class Atom(Formula):
         _set_value(self, value)
 
 
-class _Connective(Formula):
-    """A node with formula children: equality, hash, repr, copy and pickle
-    keep a stack of their own, so they answer at any depth parse accepts."""
-
-    __slots__ = ()
-
-    def _preorder(self):
-        # nodes as their classes, other leaves as themselves: the classes fix
-        # the arities, so no tree's sequence is a proper prefix of another's
-        todo = [self]
-        while todo:
-            f = todo.pop()
-            if isinstance(f, _Connective):
-                yield f.__class__
-                todo += reversed(f._values())
-            else:
-                yield f
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(a == b for a, b in zip(self._preorder(), other._preorder()))
-
-    def __hash__(self):
-        return hash(tuple(self._preorder()))
-
-    def __repr__(self):
-        out, todo = [], [(self,)]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):  # literal text
-                out.append(item)
-            elif isinstance(f := item[0], _Connective):
-                out.append(f.__class__.__qualname__ + "(")
-                todo.append(")")
-                for i, name in reversed(list(enumerate(f._fields))):
-                    todo += [(getattr(f, name),), ", " * bool(i) + name + "="]
-            else:
-                out.append(repr(f))
-        return "".join(out)
-
-    def __reduce__(self):
-        # copy and pickle rebuild the tree from its flat preorder, where
-        # Record's per-node reduction would recurse once per level
-        return _from_preorder, (tuple(self._preorder()),)
-
-
-def _from_preorder(items) -> Formula:
-    """The tree whose `_preorder()` is items, built from the last item up."""
-    stack = []
-    for item in reversed(items):
-        if isinstance(item, type) and issubclass(item, _Connective):
-            item = item(*[stack.pop() for _ in item._fields])
-        stack.append(item)
-    return stack.pop()
-
-
-class _Unary(_Connective):
+class _Unary(Formula):
     __slots__ = _fields = ("child",)
 
     def __init__(self, child: Formula):
         _set_child(self, child)
 
 
-class _Binary(_Connective):
+class _Binary(Formula):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):

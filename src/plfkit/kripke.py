@@ -325,7 +325,7 @@ class Depth1Problem(Record):
         for var, vals in self.atom_domains.items():
             if not vals:
                 raise ValueError(f"empty domain for {var}")
-            # the compile matches values as they are, the recheck by str()
+            # the compile, the recheck and points_to_model take values as they are
             for val in vals:
                 if not isinstance(val, str):
                     raise ValueError(f"domain of {var} holds {val!r}, not a str")
@@ -487,7 +487,7 @@ def points_to_model(p: Depth1Problem, points) -> KripkeModel:
         name = f"w{i}"
         names.append(name)
         for var, val in pt:
-            valuation.setdefault(Atom(var, str(val)), []).append(name)
+            valuation.setdefault(Atom(var, val), []).append(name)
     return KripkeModel(["w0", *names], [("w0", name) for name in names], valuation)
 
 
@@ -517,16 +517,11 @@ def recheck_model(p: Depth1Problem, points) -> bool:
     """Independently verify a solve_depth1 model with the modal evaluator:
     every clause of p holds at w0 of points_to_model(p, points), whose masks
     are read off the points: w0 is bit 0, the points bits 1, 2, ... as given."""
-    # the pairs gather their bits first, so str() runs once per distinct pair
-    by_pair, bit = {}, 1
+    masks, bit = {}, 1
     for pt in points:
         bit <<= 1
         for pair in pt:
-            by_pair[pair] = by_pair.get(pair, 0) | bit
-    masks = {}
-    for (var, val), mask in by_pair.items():
-        key = var, str(val)
-        masks[key] = masks.get(key, 0) | mask
+            masks[pair] = masks.get(pair, 0) | bit
     full = (bit << 1) - 1
     m = SimpleNamespace(_bit={"w0": 1}, _full=full, _masks=masks, _succ=((1, full ^ 1),))
     return all(_clause_truths(m, p.constraints))

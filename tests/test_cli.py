@@ -656,11 +656,12 @@ def test_subcommand_import_graph(sub, model_file, hardy_file):
 @pytest.mark.parametrize("sub", ["parse", "eval", "check", "check --mode pns", "hardy", "prove"])
 def test_subcommand_loads_no_typing(sub, model_file, hardy_file):
     """Run with no site-packages (python -S), whose .pth files may preload
-    it, no subcommand loads typing or dataclasses: a record's fields are its
-    annotations, kept as strings, and the clause and result aliases are
-    `A | B` unions."""
+    them, no subcommand loads typing, dataclasses or pathlib: a record's
+    fields are its annotations, kept as strings, the clause and result
+    aliases are `A | B` unions, and the CLI reads and writes files with
+    `open` and `os`."""
     got_code, _, loaded, err = _traced_subcommand(
-        sub, model_file, hardy_file, ("typing", "dataclasses"), flags=["-S"])
+        sub, model_file, hardy_file, ("typing", "dataclasses", "pathlib"), flags=["-S"])
     assert got_code == IMPORT_GRAPH[sub][1], err
     assert loaded == []
 

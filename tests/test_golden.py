@@ -11,6 +11,8 @@ and review the diff of tests/golden/ like any other code change.
 
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +28,7 @@ from plfkit.scenario import ScenarioConfig, behavior_from_json, behavior_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
+SRC = GOLDEN.parent.parent / "src"
 
 
 def _run(argv, stdin=""):
@@ -214,13 +217,56 @@ def test_subcommand_leaves_out_files_to_main(tmp_path, capsys):
     write none of them; `hardy` only creates the directory."""
     out = tmp_path / "witness.json"
     args = build_parser().parse_args(["check", str(INPUTS / "feasible_3x2.json"), "--out", str(out)])
-    assert args.func(args).files == {out: (GOLDEN / "feasible_3x2_witness.json").read_text()}
+    assert args.func(args).files == {str(out): (GOLDEN / "feasible_3x2_witness.json").read_text()}
     args = build_parser().parse_args(["hardy", "--out", str(tmp_path / "hardy")])
-    assert args.func(args).files == {tmp_path / "hardy" / name: (GOLDEN / name).read_text()
+    assert args.func(args).files == {str(tmp_path / "hardy" / name): (GOLDEN / name).read_text()
                                      for name in HARDY_OUT}
     assert capsys.readouterr() == ("", "")
     assert [p.name for p in tmp_path.iterdir()] == ["hardy"]
     assert list((tmp_path / "hardy").iterdir()) == []
+
+
+# a two-world model, w0 seeing w1 where Q holds, for `eval` to read from a file
+MODEL = {"worlds": ["w0", "w1"], "relation": [["w0", "w1"]], "valuation": {"Q": ["w1"]}}
+
+# id -> (argv, stdin, exit code, stdout) of each subcommand run under python -S.
+# stdin is a file, or the argv of a process piped in; "MODEL" in argv is a file
+# holding MODEL; stdout is a golden file, the bytes themselves, or None where
+# nothing pins it.
+NO_SITE = {
+    **{name: (argv, None, 0, GOLDEN / name) for name, argv in PROVE.items()},
+    **{name: (argv, INPUTS / src, code, GOLDEN / name) for name, (argv, src, code) in CHECK.items()},
+    "hardy_check.stdout": (["check"], ["hardy"], 1, GOLDEN / "hardy_check.stdout"),
+    "parse": (["parse", "<>(A=1 & B=1)"], None, 0, None),
+    "eval": (["eval", "MODEL", "w0", "<>Q"], None, 0, b"true\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_SITE))
+def test_subcommand_without_site_packages(name, tmp_path):
+    """With no site-packages (python -S), each subcommand runs on the
+    standard library alone: it gives its exit code and, where a golden pins
+    it, that stdout byte for byte.  A crash exits 3, so it cannot pass for a
+    verdict."""
+    argv, stdin, code, stdout = NO_SITE[name]
+    cli, env = [sys.executable, "-S", "-m", "plfkit.cli"], dict(os.environ, PYTHONPATH=str(SRC))
+    if "MODEL" in argv:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(MODEL))
+        argv = [str(model) if a == "MODEL" else a for a in argv]
+    if isinstance(stdin, list):  # a pipe, as in `plfkit hardy | plfkit check`
+        with subprocess.Popen(cli + stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as writer:
+            proc = subprocess.run(cli + argv, stdin=writer.stdout, capture_output=True, env=env,
+                                  timeout=60)
+            assert (writer.wait(timeout=60), writer.stderr.read()) == \
+                (0, (GOLDEN / "hardy.stderr").read_bytes())
+    else:
+        proc = subprocess.run(cli + argv, input=stdin.read_bytes() if stdin else b"",
+                              capture_output=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if stdout is not None:
+        assert proc.stdout == (stdout.read_bytes() if isinstance(stdout, Path) else stdout)
 
 
 @pytest.mark.parametrize("name", sorted(ENCODE))

@@ -7,15 +7,17 @@ import copy
 import inspect
 import itertools
 import pickle
+import sys
 
 import pytest
 
-import plfkit.plfcheck  # noqa: F401  (its records, for RECORDS below)
 from plfkit._record import Record
 from plfkit.formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or
-from plfkit.kripke import Conditional, Forbidden, KripkeModel, MustAll, Required, UnsatCore
+from plfkit.kripke import (Conditional, Forbidden, KripkeModel, MustAll, Required, UnsatCore,
+                           solve_depth1)
+from plfkit.plfcheck import plf_feasible
 from plfkit.quantum import hardy_behavior
-from plfkit.scenario import CellIndex, ScenarioConfig, Wing
+from plfkit.scenario import Behavior, CellIndex, ScenarioConfig, Wing, encode
 
 A, B = Atom("A"), Atom("B", "1")
 ONE_FIELD = [Not, Diamond, Box, MustAll, Forbidden, Required]
@@ -81,15 +83,56 @@ def test_generic_constructor_binds_like_a_dataclass():
         UnsatCore(Required(A), ())
 
 
+def _all_possible():
+    cfg = ScenarioConfig(friend_a=True, friend_b=True)
+    return Behavior.from_cells(cfg, cfg.cells())
+
+
 @pytest.mark.parametrize("rec", [
     And(A, Not(B)),
     Conditional(A, B),
     hardy_behavior(),
     KripkeModel({"w"}, {("w", "w")}, {A: {"w"}}),
-], ids=["formula", "clause", "behavior", "kripke-model"])
+    plf_feasible(hardy_behavior()),
+    plf_feasible(_all_possible()),
+    solve_depth1(encode(hardy_behavior())),
+    solve_depth1(encode(_all_possible())),
+    encode(hardy_behavior()),
+], ids=["formula", "clause", "behavior", "kripke-model", "infeasible-verdict",
+        "feasible-verdict", "unsat", "model", "depth1-problem"])
 def test_copy_and_pickle_rebuild_an_equal_record(rec):
+    """Records nested in tuples, dicts and frozensets rebuild too; compared
+    by equality, since a rebuilt frozenset may iterate in another order."""
     for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
         assert twin == rec and type(twin) is type(rec)
+
+
+class _Link(Record):
+    """One link of a chain: records that nest as deep as the chain is long."""
+
+    value: int
+    rest: object
+
+
+def _chain(n: int, end) -> _Link:
+    for i in range(n):
+        end = _Link(i, end)
+    return end
+
+
+def test_value_semantics_answer_at_any_depth():
+    """Equality, hash, repr, copy and pickle keep a stack of their own, not
+    a frame per nesting level."""
+    n = 2 * sys.getrecursionlimit()
+    rec, same, other = _chain(n, None), _chain(n, None), _chain(n, 0)
+    try:
+        assert rec == same and hash(rec) == hash(same) and rec != other
+        assert repr(rec) == "".join(
+            f"_Link(value={i}, rest=" for i in reversed(range(n))) + "None" + ")" * n
+        for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert twin == rec and type(twin) is _Link
+    except RecursionError:
+        raise AssertionError("recursed once per nesting level") from None
 
 
 def _subclasses(cls):
@@ -114,6 +157,13 @@ def test_fields_are_named_once(cls):
     else:
         assert "_fields" not in assigned
         assert cls._fields == (tuple(cls.__annotations__) or cls.__base__._fields)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__qualname__ for cls in RECORDS])
+def test_only_record_defines_value_semantics(cls):
+    """Equality, hash, repr, copy and pickle are Record's alone, so every
+    record answers them at any nesting depth."""
+    assert not {"__eq__", "__hash__", "__repr__", "__reduce__", "_preorder"} & set(vars(cls))
 
 
 def test_wing_and_cell_index_are_records():
