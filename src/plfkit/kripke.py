@@ -43,6 +43,9 @@ where the body holds, and that walk is also the fragment check (no modal
 operator in a body, no variable outside atom_domains).  It too compiles
 each distinct And node once per problem.  solve_depth1 only deflates the
 stored masks, and its result selects the grid points of its bits.
+scenario.encode compiles a shape's light-cone skeleton once and a behavior's
+cell and reading clauses per call, through the private Depth1Problem._compiled;
+copy, pickle and drop_impossibility build through the public constructor.
 """
 
 from __future__ import annotations
@@ -315,6 +318,7 @@ class Depth1Problem(Record):
 
     atom_domains: dict[str, tuple]
     constraints: tuple
+    _derived = ("_grid", "_start", "_conds", "_reqs")  # what _compile returns, in order
 
     def __post_init__(self):
         object.__setattr__(
@@ -329,9 +333,17 @@ class Depth1Problem(Record):
             for val in vals:
                 if not isinstance(val, str):
                     raise ValueError(f"domain of {var} holds {val!r}, not a str")
-        for name, value in zip(("_grid", "_start", "_conds", "_reqs"),
-                               _compile(self.atom_domains, self.constraints)):
+        for name, value in zip(self._derived, _compile(self.atom_domains, self.constraints)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _compiled(cls, *fields) -> "Depth1Problem":
+        """The problem of atom_domains, constraints and what `_compile` gives
+        them, stored unchecked: encode's path."""
+        p = object.__new__(cls)
+        for name, value in zip(cls._fields + cls._derived, fields, strict=True):
+            object.__setattr__(p, name, value)
+        return p
 
 
 class UnsatCore(Record):

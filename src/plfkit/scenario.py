@@ -10,7 +10,7 @@ combinations are possible in each measurement context.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ._record import Record, json_object
 from .formula import And, Atom, Implies, conj, disj
@@ -237,6 +237,31 @@ def _chains(atom: dict, labels: dict, variables: list) -> list:
     return chains
 
 
+def _vocabulary(cfg: ScenarioConfig) -> tuple:
+    """Labels, atoms and domains in atom_domains order (A, B, X, Y, C, D), and each wing's pool."""
+    labels = {w.outcome: w.outcomes for w in cfg.wings}
+    labels |= {w.setting: w.settings for w in cfg.wings}
+    labels |= {w.record: w.outcomes for w in cfg.wings if w.friend}
+    atom = {(var, v): _atom(var, v) for var, vals in labels.items() for v in vals}
+    domains = {var: tuple(str(v) for v in vals) for var, vals in labels.items()}
+    return labels, atom, domains, [sorted(set(labels) - {w.outcome, w.setting}) for w in cfg.wings]
+
+
+@lru_cache(maxsize=16)
+def _skeleton(shape: tuple) -> tuple:
+    """Per wing, the grid masks of its setting's values and finest events, in
+    `_chains` order, for a shape (per wing its outcome and setting counts and
+    friend flag), compiled on the labels 0, 1, ...: they depend on the shape alone."""
+    from .kripke import Required, _compile
+    (a, x, friend_a), (b, y, friend_b) = shape
+    cfg = ScenarioConfig(*(tuple(range(n)) for n in (x, y, a, b)), friend_a, friend_b, 0, 0)
+    labels, atom, domains, pools = _vocabulary(cfg)
+    bodies = [([atom[w.setting, z] for z in w.settings], _chains(atom, labels, pool))
+              for w, pool in zip(cfg.wings, pools)]
+    return tuple(tuple(tuple(mask for _, mask in _compile(domains, [Required(b) for b in part])[3])
+                       for part in wing) for wing in bodies)
+
+
 def encode(beh: Behavior) -> Depth1Problem:
     """The depth-1 modal problem whose satisfiability is PLF-compatibility.
 
@@ -258,15 +283,14 @@ def encode(beh: Behavior) -> Depth1Problem:
 
     Exactly-one-value per variable is structural: every world of the search
     space is a total valuation point.
+
+    Only the cell and reading clauses are compiled per call: a Conditional
+    takes its event's mask from `_skeleton`, once per shape, and that mask
+    AND its setting value's for its consequent; `Depth1Problem` compiles all.
     """
-    from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required
+    from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required, _compile
     cfg = beh.config
-    # outcomes, settings, then records: the order of atom_domains (A, B, X, Y, C, D)
-    labels = {w.outcome: w.outcomes for w in cfg.wings}
-    labels |= {w.setting: w.settings for w in cfg.wings}
-    labels |= {w.record: w.outcomes for w in cfg.wings if w.friend}
-    atom = {(var, v): _atom(var, v) for var, vals in labels.items() for v in vals}
-    domains = {var: tuple(str(v) for v in vals) for var, vals in labels.items()}
+    labels, atom, domains, pools = _vocabulary(cfg)
 
     # the cell bodies in cell order: outcomes, then settings
     bodies = _chains(atom, labels, [w.outcome for w in cfg.wings] + [w.setting for w in cfg.wings])
@@ -279,21 +303,25 @@ def encode(beh: Behavior) -> Depth1Problem:
                 atom[w.setting, w.read],
                 disj([conj([atom[w.outcome, v], atom[w.record, v]]) for v in w.outcomes]),
             )))
+    grid, start, _, reqs = _compile(domains, constraints)
 
-    for w in cfg.wings:
-        pool = sorted(var for var in domains if var not in (w.outcome, w.setting))
+    conds = []
+    shape = tuple((len(w.outcomes), len(w.settings), w.friend) for w in cfg.wings)
+    for w, pool, (setting_masks, event_masks) in zip(cfg.wings, pools, _skeleton(shape)):
         # an event that sets another friend's wing o to o.read with o's outcome
         # off o's record holds at no point o's MustAll admits: its clauses hold
         # vacuously, so they are not emitted
         vacuous = [(pool.index(o.setting), pool.index(o.outcome), pool.index(o.record), o.read)
                    for o in cfg.wings if o is not w and o.friend]
+        settings = list(zip((atom[w.setting, z] for z in w.settings), setting_masks, strict=True))
         values = itertools.product(*(labels[var] for var in pool))
-        for event, vals in zip(_chains(atom, labels, pool), values):
+        for event, vals, ant in zip(_chains(atom, labels, pool), values, event_masks, strict=True):
             if not any(vals[i] == read and vals[j] != vals[k] for i, j, k, read in vacuous):
-                constraints.extend(Conditional(event, And(atom[w.setting, z], event))
-                                   for z in w.settings)
+                conds += [(Conditional(event, And(setting, event)), ant, mask & ant)
+                          for setting, mask in settings]
+    constraints += [c for c, _, _ in conds]
 
-    return Depth1Problem(atom_domains=domains, constraints=tuple(constraints))
+    return Depth1Problem._compiled(domains, tuple(constraints), grid, start, tuple(conds), reqs)
 
 
 def drop_impossibility(problem: Depth1Problem, cell) -> Depth1Problem:

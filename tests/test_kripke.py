@@ -863,7 +863,7 @@ def test_evaluator_and_compiler_share_no_code():
     assert not recheck & {"KripkeModel", "points_to_model", "sorted"}
     assert not names_reached((kripke,), *evaluator) & {
         "_compile", "_sat", "atom_masks", "_grid", "_start", "_conds", "_reqs", "_variables",
-        "_combos", "_points"}
+        "_combos", "_points", "_skeleton"}
     assert "atom_masks" in names_reached((kripke,), kripke.Depth1Problem.__post_init__)
     assert not names_reached((kripke,), kripke._compile) & {
         "_extension", "_diamond", "_box", "_clause_truths", "evaluate", "valid", "recheck_model"}

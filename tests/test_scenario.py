@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from plfkit.kripke import (
 from plfkit.scenario import (
     Behavior,
     ScenarioConfig,
+    _skeleton,
     behavior_from_json,
     behavior_to_json,
     check_pns,
@@ -421,9 +424,112 @@ def test_compiled_masks_depend_only_on_the_shape(rng, settings, outcomes):
                        for name in ("a_values", "b_values", "x_values", "y_values")]
             renamed = Behavior(twin, {tuple(m[v] for m, v in zip(relabel, cell)): possible
                                       for cell, possible in beh.possible.items()})
-            prob, twin_prob = encode(beh), encode(renamed)
+            # compiled afresh, not through encode's per-shape cache, whose
+            # correctness rests on this test
+            prob, twin_prob = (Depth1Problem(p.atom_domains, p.constraints)
+                               for p in (encode(beh), encode(renamed)))
             assert prob.atom_domains != twin_prob.atom_domains
             assert _compiled_masks(prob) == _compiled_masks(twin_prob)
+
+
+def _labels(rng, n):
+    # ints or strs, fresh and in no particular order
+    return tuple(rng.sample([*range(10, 40)] if rng.random() < 0.5 else [*"pqrstuvw", "s_1"], n))
+
+
+def _sweep_configs(rng):
+    """Every pairing of 2-3 settings and 2-3 outcomes per party, each with
+    every friend configuration and read position, in a shuffled order, so
+    the shapes come interleaved."""
+    configs = []
+    party = list(itertools.product((2, 3), repeat=2))  # (settings, outcomes)
+    for (xs, a), (ys, b) in itertools.product(party, repeat=2):
+        for friend_a, friend_b in itertools.product((False, True), repeat=2):
+            reads = itertools.product(range(xs if friend_a else 1), range(ys if friend_b else 1))
+            for rx, ry in reads:
+                x_values, y_values = _labels(rng, xs), _labels(rng, ys)
+                configs.append(ScenarioConfig(x_values, y_values, _labels(rng, a), _labels(rng, b),
+                                              friend_a, friend_b, x_values[rx], y_values[ry]))
+    rng.shuffle(configs)
+    return configs
+
+
+def test_encode_compiles_as_the_constructor_does(rng):
+    configs = _sweep_configs(rng)
+    assert len(configs) == 196
+    for cfg in configs:
+        prob = encode(random_behavior(rng, cfg, p=rng.choice([0.5, 0.8])))
+        full = Depth1Problem(prob.atom_domains, prob.constraints)
+        assert prob._grid == full._grid
+        assert prob._start == full._start
+        assert prob._reqs == full._reqs
+        assert prob._conds == full._conds
+        assert prob == full and repr(prob) == repr(full)
+        # each compiled Conditional is the problem's own clause, in order
+        conditionals = [c for c in prob.constraints if isinstance(c, Conditional)]
+        assert all(c is d for (c, _, _), d in zip(prob._conds, conditionals, strict=True))
+
+
+def test_one_shape_compiles_its_skeleton_once(rng):
+    _skeleton.cache_clear()
+    for first in range(0, 200, 20):  # fresh labels each time, one shape
+        labels = tuple(range(first, first + 3))
+        cfg = ScenarioConfig(labels, labels, labels, labels, True, True, first, first + 2)
+        encode(random_behavior(rng, cfg))
+    info = _skeleton.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 9, 1)
+
+
+def test_the_skeleton_cache_holds_only_ints_and_tuples(rng):
+    _skeleton.cache_clear()
+    shapes = set()
+    for cfg in _sweep_configs(rng):
+        if len(shapes) == 12:
+            break
+        encode(random_behavior(rng, cfg))
+        shapes.add(tuple((len(w.outcomes), len(w.settings), w.friend) for w in cfg.wings))
+    before = _skeleton.cache_info()
+    assert before.currsize == len(shapes)
+    held, kinds = [_skeleton(shape) for shape in shapes], set()
+    # read back, not rebuilt: these are the entries encode filled
+    assert _skeleton.cache_info().hits == before.hits + len(shapes)
+    while held:
+        value = held.pop()
+        kinds.add(type(value))
+        if type(value) is tuple:
+            held += value
+    assert kinds == {tuple, int}
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_skeleton_cache_stays_small():
+    texts = [text for text, _ in itertools.islice(_bench_inputs().ladder_stream(1), 1000)]
+    _skeleton.cache_clear()
+    for text in texts:
+        encode(behavior_from_json(text))
+    info = _skeleton.cache_info()
+    assert info.currsize == info.misses == 3  # one entry per ladder size
+    # refilled under tracemalloc: what clearing it then frees is what it held
+    _skeleton.cache_clear()
+    tracemalloc.start()
+    try:
+        for text in texts:
+            if _skeleton.cache_info().currsize == info.currsize:
+                break
+            encode(behavior_from_json(text))
+        held = tracemalloc.get_traced_memory()[0]
+        _skeleton.cache_clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held <= 0.5 * 2**20
 
 
 class TestBehaviorJson:
