@@ -43,9 +43,10 @@ where the body holds, and that walk is also the fragment check (no modal
 operator in a body, no variable outside atom_domains).  It too compiles
 each distinct And node once per problem.  solve_depth1 only deflates the
 stored masks, and its result selects the grid points of its bits.
-scenario.encode compiles a shape's light-cone skeleton once and a behavior's
-cell and reading clauses per call, through the private Depth1Problem._compiled;
-copy, pickle and drop_impossibility build through the public constructor.
+scenario.encode takes the grid and atom masks from the helper the compile
+uses, ANDs its cell and light-cone masks from the atom masks and compiles only
+its reading clauses, through the private Depth1Problem._compiled; copy,
+pickle and drop_impossibility build through the public constructor.
 """
 
 from __future__ import annotations
@@ -370,10 +371,10 @@ class Unsat(Record):
 SatResult = Model | Unsat
 
 
-def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
-    """The grid, the mask of the points passing every MustAll and Forbidden,
-    and the (Conditional, antecedent mask, consequent mask) and (Required,
-    mask) lists in constraint order; checks the fragment on the way."""
+def _grid_masks(atom_domains) -> tuple[list, SimpleNamespace]:
+    """The grid, in itertools.product order over the sorted variables, and
+    what `_sat` reads: each (variable, value) atom's mask, the domains and
+    the full mask."""
     variables = sorted(atom_domains)
     # each grid entry is a point, built of pairs shared with the other points
     grid = list(itertools.product(*([(v, val) for val in atom_domains[v]] for v in variables)))
@@ -389,12 +390,18 @@ def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
         for j, val in enumerate(vals):
             run = ((1 << stride) - 1) << (j * stride)
             atom_masks[var, val] = atom_masks.get((var, val), 0) | run * repeat
+    return grid, SimpleNamespace(masks=atom_masks, domains=atom_domains, full=full)
 
+
+def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
+    """The grid, the mask of the points passing every MustAll and Forbidden,
+    and the (Conditional, antecedent mask, consequent mask) and (Required,
+    mask) lists in constraint order; checks the fragment on the way."""
+    grid, g = _grid_masks(atom_domains)
     # the memo maps id() of each And node compiled so far to its mask:
     # encode shares chain tails and antecedents across clauses, so each is
     # compiled once; constraints keeps every node alive while the memo lives
-    g, memo = SimpleNamespace(masks=atom_masks, domains=atom_domains, full=full), {}
-    start = full
+    memo, start = {}, g.full
     conds, reqs = [], []
     for c in constraints:
         # the clause kinds are disjoint; Conditionals are the most numerous
@@ -413,7 +420,7 @@ def _compile(atom_domains, constraints) -> tuple[list, int, tuple, tuple]:
 
 def _sat(g, f: Formula, memo: dict) -> int:
     """The mask of the grid points where the propositional body f holds;
-    g holds _compile's atom masks, domains and full mask, memo its And masks."""
+    g holds _grid_masks' atom masks, domains and full mask, memo its And masks."""
     t = type(f)
     if t is Atom:
         mask = g.masks.get((f.variable, f.value))

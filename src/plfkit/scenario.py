@@ -10,7 +10,8 @@ combinations are possible in each measurement context.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+import operator
+from functools import cached_property
 
 from ._record import Record, json_object
 from .formula import And, Atom, Implies, conj, disj
@@ -226,14 +227,15 @@ def _check_label(name: str, value) -> None:
                          "(its text must be letters, digits or '_')") from None
 
 
-def _chains(atom: dict, labels: dict, variables: list) -> list:
-    """The right-nested conj of one atom per variable for every assignment to
-    `variables`, in itertools.product order over their labels.  The chains
-    are built from the last variable up, so equal tails are one node."""
+def _chains(leaf: dict, join, labels: dict, variables: list) -> list:
+    """The right-nested join of one leaf per variable for every assignment to
+    `variables`, in itertools.product order, built from the last variable up
+    so equal tails are one node: a conj with join=And over the atoms, its
+    grid mask with join=operator.and_ over the atom masks."""
     *head, last = variables
-    chains = [atom[last, v] for v in labels[last]]
+    chains = [leaf[last, v] for v in labels[last]]
     for var in reversed(head):
-        chains = [And(atom[var, v], tail) for v in labels[var] for tail in chains]
+        chains = [join(leaf[var, v], tail) for v in labels[var] for tail in chains]
     return chains
 
 
@@ -245,21 +247,6 @@ def _vocabulary(cfg: ScenarioConfig) -> tuple:
     atom = {(var, v): _atom(var, v) for var, vals in labels.items() for v in vals}
     domains = {var: tuple(str(v) for v in vals) for var, vals in labels.items()}
     return labels, atom, domains, [sorted(set(labels) - {w.outcome, w.setting}) for w in cfg.wings]
-
-
-@lru_cache(maxsize=16)
-def _skeleton(shape: tuple) -> tuple:
-    """Per wing, the grid masks of its setting's values and finest events, in
-    `_chains` order, for a shape (per wing its outcome and setting counts and
-    friend flag), compiled on the labels 0, 1, ...: they depend on the shape alone."""
-    from .kripke import Required, _compile
-    (a, x, friend_a), (b, y, friend_b) = shape
-    cfg = ScenarioConfig(*(tuple(range(n)) for n in (x, y, a, b)), friend_a, friend_b, 0, 0)
-    labels, atom, domains, pools = _vocabulary(cfg)
-    bodies = [([atom[w.setting, z] for z in w.settings], _chains(atom, labels, pool))
-              for w, pool in zip(cfg.wings, pools)]
-    return tuple(tuple(tuple(mask for _, mask in _compile(domains, [Required(b) for b in part])[3])
-                       for part in wing) for wing in bodies)
 
 
 def encode(beh: Behavior) -> Depth1Problem:
@@ -276,52 +263,57 @@ def encode(beh: Behavior) -> Depth1Problem:
         (B, C, D, Y for X with both friends).  Only finest assignments, which
         fix every pool variable, are emitted: the clauses for partial
         assignments follow from them.  Nor are the finest assignments that
-        set another friend's wing to its read setting with an outcome off
-        that friend's record: the friend's reading clause leaves them no
-        point, so their clauses hold vacuously (docs/feasibility.md).  Each
-        clause is <>E -> <>(Z=z & E), its consequent built on E's own node.
+        no point passing every reading clause satisfies (those that set
+        another friend's wing to its read setting with an outcome off that
+        friend's record): their clauses hold vacuously (docs/feasibility.md).
+        Each clause is <>E -> <>(Z=z & E), its consequent built on E's own node.
 
     Exactly-one-value per variable is structural: every world of the search
     space is a total valuation point.
 
-    Only the cell and reading clauses are compiled per call: a Conditional
-    takes its event's mask from `_skeleton`, once per shape, and that mask
-    AND its setting value's for its consequent; `Depth1Problem` compiles all.
+    `_chains` builds each cell body and event and, over the atom masks, its
+    mask; only the reading clauses are compiled, and `Depth1Problem._compiled`
+    stores the fields as the constructor would compile them.
     """
-    from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required, _compile
+    from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required, _grid_masks, _sat
     cfg = beh.config
     labels, atom, domains, pools = _vocabulary(cfg)
+    grid, g = _grid_masks(domains)
+    mask = {key: g.masks[a.variable, a.value] for key, a in atom.items()}
 
     # the cell bodies in cell order: outcomes, then settings
-    bodies = _chains(atom, labels, [w.outcome for w in cfg.wings] + [w.setting for w in cfg.wings])
-    constraints: list = [Required(body) if beh.possible[cell] else Forbidden(body)
-                         for cell, body in zip(cfg.cells(), bodies)]
+    cell_vars = [w.outcome for w in cfg.wings] + [w.setting for w in cfg.wings]
+    constraints, reqs, start = [], [], g.full
+    for cell, body, body_mask in zip(cfg.cells(), _chains(atom, And, labels, cell_vars),
+                                     _chains(mask, operator.and_, labels, cell_vars)):
+        if beh.possible[cell]:
+            constraints.append(Required(body))
+            reqs.append((constraints[-1], body_mask))
+        else:
+            constraints.append(Forbidden(body))
+            start &= ~body_mask
 
+    admitted, memo = g.full, {}  # the points that pass every reading clause
     for w in cfg.wings:
         if w.friend:
             constraints.append(MustAll(Implies(
                 atom[w.setting, w.read],
                 disj([conj([atom[w.outcome, v], atom[w.record, v]]) for v in w.outcomes]),
             )))
-    grid, start, _, reqs = _compile(domains, constraints)
+            admitted &= _sat(g, constraints[-1].body, memo)
 
     conds = []
-    shape = tuple((len(w.outcomes), len(w.settings), w.friend) for w in cfg.wings)
-    for w, pool, (setting_masks, event_masks) in zip(cfg.wings, pools, _skeleton(shape)):
-        # an event that sets another friend's wing o to o.read with o's outcome
-        # off o's record holds at no point o's MustAll admits: its clauses hold
-        # vacuously, so they are not emitted
-        vacuous = [(pool.index(o.setting), pool.index(o.outcome), pool.index(o.record), o.read)
-                   for o in cfg.wings if o is not w and o.friend]
-        settings = list(zip((atom[w.setting, z] for z in w.settings), setting_masks, strict=True))
-        values = itertools.product(*(labels[var] for var in pool))
-        for event, vals, ant in zip(_chains(atom, labels, pool), values, event_masks, strict=True):
-            if not any(vals[i] == read and vals[j] != vals[k] for i, j, k, read in vacuous):
-                conds += [(Conditional(event, And(setting, event)), ant, mask & ant)
-                          for setting, mask in settings]
+    for w, pool in zip(cfg.wings, pools):
+        settings = [(atom[w.setting, z], mask[w.setting, z]) for z in w.settings]
+        events = zip(_chains(atom, And, labels, pool), _chains(mask, operator.and_, labels, pool))
+        # an event no admitted point satisfies is vacuous: it is not emitted
+        conds += [(Conditional(event, And(setting, event)), ant, setting_mask & ant)
+                  for event, ant in events if ant & admitted
+                  for setting, setting_mask in settings]
     constraints += [c for c, _, _ in conds]
 
-    return Depth1Problem._compiled(domains, tuple(constraints), grid, start, tuple(conds), reqs)
+    return Depth1Problem._compiled(domains, tuple(constraints), grid, start & admitted,
+                                   tuple(conds), tuple(reqs))
 
 
 def drop_impossibility(problem: Depth1Problem, cell) -> Depth1Problem:

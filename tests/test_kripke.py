@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plfkit import kripke
+from plfkit import kripke, scenario
 from plfkit.formula import And, Atom, Box, Diamond, Iff, Implies, Not, Or, conj, parse, render
 from plfkit.kripke import (
     Conditional,
@@ -863,7 +863,11 @@ def test_evaluator_and_compiler_share_no_code():
     assert not recheck & {"KripkeModel", "points_to_model", "sorted"}
     assert not names_reached((kripke,), *evaluator) & {
         "_compile", "_sat", "atom_masks", "_grid", "_start", "_conds", "_reqs", "_variables",
-        "_combos", "_points", "_skeleton"}
+        "_combos", "_points", "_grid_masks"}
     assert "atom_masks" in names_reached((kripke,), kripke.Depth1Problem.__post_init__)
+    # encode builds its masks by the chain builder, never by the clause compile
+    encode = names_reached((scenario, kripke), scenario.encode)
+    assert {"_chains", "_grid_masks", "_sat"} <= encode
+    assert "_compile" not in encode
     assert not names_reached((kripke,), kripke._compile) & {
         "_extension", "_diamond", "_box", "_clause_truths", "evaluate", "valid", "recheck_model"}
