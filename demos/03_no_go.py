@@ -9,7 +9,7 @@ Run:  python3 demos/03_no_go.py
 """
 
 from plfkit import encode, hardy_behavior, plf_feasible, solve_depth1
-from plfkit.cli import IMPOSSIBLE_CELLS
+from plfkit.cli import IMPOSSIBLE_EVENTS
 from plfkit.kripke import Model, recheck_model
 from plfkit.plfcheck import trace_to_text
 from plfkit.scenario import drop_impossibility
@@ -32,7 +32,9 @@ print()
 
 # Each impossibility is load-bearing: drop any one and a world-network
 # exists (and survives independent re-verification by the evaluator).
-for name, cell in sorted(IMPOSSIBLE_CELLS.items()):
+# The impossible cells are the behavior's own zeros, named in config order.
+zeros = [cell for cell, possible in beh.possible.items() if not possible]
+for name, cell in zip(IMPOSSIBLE_EVENTS, zeros, strict=True):
     relaxed = drop_impossibility(encode(beh), cell)
     r = solve_depth1(relaxed)
     sat = isinstance(r, Model)

@@ -33,12 +33,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# The three impossibility clauses of the Hardy pattern, by conventional name.
-IMPOSSIBLE_CELLS = {
-    "E2": (0, 1, 1, 2),
-    "E3": (1, 0, 2, 1),
-    "E4": (1, 1, 1, 1),
-}
+# The conventional names of the Hardy behavior's impossible cells, in config order.
+IMPOSSIBLE_EVENTS = ("E2", "E3", "E4")
 
 
 class RunReport:
@@ -253,9 +249,10 @@ def cmd_prove(args) -> RunReport:
     report = RunReport(command="prove")
     lines: list[str] = []
     ok = True
-    cells = {name: "(A={},B={}|X={},Y={})".format(*c) for name, c in IMPOSSIBLE_CELLS.items()}
-
     beh = quantum.hardy_behavior()
+    zeros = [cell for cell, possible in beh.possible.items() if not possible]
+    impossible = dict(zip(IMPOSSIBLE_EVENTS, zeros, strict=True))
+    cells = {name: "(A={},B={}|X={},Y={})".format(*c) for name, c in impossible.items()}
     pns = scenario.check_pns(beh)
     lines.append("Hardy-type behavior from the quantum model:")
     lines.append("  impossible superobserver events: "
@@ -282,10 +279,10 @@ def cmd_prove(args) -> RunReport:
         lines.append("")
         lines.append(plfcheck.trace_to_text(verdict.trace, beh.config))
 
-    drops = [args.drop] if args.drop else sorted(IMPOSSIBLE_CELLS)
+    drops = [args.drop] if args.drop else IMPOSSIBLE_EVENTS
     relaxations = {}
     for name in drops:
-        relaxed = scenario.drop_impossibility(problem, IMPOSSIBLE_CELLS[name])
+        relaxed = scenario.drop_impossibility(problem, impossible[name])
         result = kripke.solve_depth1(relaxed)
         is_sat = isinstance(result, kripke.Model)
         if is_sat and not kripke.recheck_model(relaxed, result.points):
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hardy)
 
     p = sub.add_parser("prove", help="end-to-end no-go reproduction")
-    p.add_argument("--drop", choices=sorted(IMPOSSIBLE_CELLS), default=None,
+    p.add_argument("--drop", choices=IMPOSSIBLE_EVENTS, default=None,
                    help="run only the named single-assumption relaxation")
     common(p, "write the proof text to PATH")
     p.set_defaults(func=cmd_prove)

@@ -10,7 +10,6 @@ combinations are possible in each measurement context.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import cached_property
 
 from ._record import Record, json_object
@@ -205,10 +204,6 @@ def check_pns(beh: Behavior) -> PnsReport:
 # ---------------------------------------------------------------------------
 
 
-def _atom(var: str, val) -> Atom:
-    return Atom(var, str(val))
-
-
 def _check_label(name: str, value) -> None:
     """Raises ValueError unless `value` can label a setting or an outcome.
 
@@ -221,32 +216,23 @@ def _check_label(name: str, value) -> None:
     if not isinstance(value, (int, str)):
         raise ValueError(f"{name}: {value!r} is not a label (labels are ints or strings)")
     try:
-        _atom("X", value)
+        Atom("X", str(value))
     except ValueError:
         raise ValueError(f"{name}: {value!r} is not a label "
                          "(its text must be letters, digits or '_')") from None
 
 
-def _chains(leaf: dict, join, labels: dict, variables: list) -> list:
-    """The right-nested join of one leaf per variable for every assignment to
-    `variables`, in itertools.product order, built from the last variable up
-    so equal tails are one node: a conj with join=And over the atoms, its
-    grid mask with join=operator.and_ over the atom masks."""
+def _chains(atom: dict, mask: dict, domains: dict, variables: list) -> list:
+    """The right-nested conj of one atom per variable, with its grid mask, for
+    every assignment to `variables`, in itertools.product order, built from
+    the last variable up so equal tails are one node; `atom` and `mask` are
+    keyed by (variable, atom text), as `domains` lists the values."""
     *head, last = variables
-    chains = [leaf[last, v] for v in labels[last]]
+    chains = [(atom[last, v], mask[last, v]) for v in domains[last]]
     for var in reversed(head):
-        chains = [join(leaf[var, v], tail) for v in labels[var] for tail in chains]
+        chains = [(And(atom[var, v], f), mask[var, v] & m)
+                  for v in domains[var] for f, m in chains]
     return chains
-
-
-def _vocabulary(cfg: ScenarioConfig) -> tuple:
-    """Labels, atoms and domains in atom_domains order (A, B, X, Y, C, D), and each wing's pool."""
-    labels = {w.outcome: w.outcomes for w in cfg.wings}
-    labels |= {w.setting: w.settings for w in cfg.wings}
-    labels |= {w.record: w.outcomes for w in cfg.wings if w.friend}
-    atom = {(var, v): _atom(var, v) for var, vals in labels.items() for v in vals}
-    domains = {var: tuple(str(v) for v in vals) for var, vals in labels.items()}
-    return labels, atom, domains, [sorted(set(labels) - {w.outcome, w.setting}) for w in cfg.wings]
 
 
 def encode(beh: Behavior) -> Depth1Problem:
@@ -271,21 +257,28 @@ def encode(beh: Behavior) -> Depth1Problem:
     Exactly-one-value per variable is structural: every world of the search
     space is a total valuation point.
 
+    atom_domains gives each variable's values as atom text, `str(label)`, in
+    the order A, B, X, Y, then C and D for the friends present: a cell's
+    variables come first, which `drop_impossibility` relies on.
+
     `_chains` builds each cell body and event and, over the atom masks, its
     mask; only the reading clauses are compiled, and `Depth1Problem._compiled`
     stores the fields as the constructor would compile them.
     """
     from .kripke import Conditional, Depth1Problem, Forbidden, MustAll, Required, _grid_masks, _sat
     cfg = beh.config
-    labels, atom, domains, pools = _vocabulary(cfg)
+    # each variable's values as atom text, in atom_domains order
+    domains = {w.outcome: w.outcomes for w in cfg.wings}
+    domains |= {w.setting: w.settings for w in cfg.wings}
+    domains |= {w.record: w.outcomes for w in cfg.wings if w.friend}
+    domains = {var: tuple(map(str, vals)) for var, vals in domains.items()}
+    atom = {(var, v): Atom(var, v) for var, vals in domains.items() for v in vals}
     grid, g = _grid_masks(domains)
-    mask = {key: g.masks[a.variable, a.value] for key, a in atom.items()}
 
     # the cell bodies in cell order: outcomes, then settings
     cell_vars = [w.outcome for w in cfg.wings] + [w.setting for w in cfg.wings]
     constraints, reqs, start = [], [], g.full
-    for cell, body, body_mask in zip(cfg.cells(), _chains(atom, And, labels, cell_vars),
-                                     _chains(mask, operator.and_, labels, cell_vars)):
+    for cell, (body, body_mask) in zip(cfg.cells(), _chains(atom, g.masks, domains, cell_vars)):
         if beh.possible[cell]:
             constraints.append(Required(body))
             reqs.append((constraints[-1], body_mask))
@@ -297,18 +290,18 @@ def encode(beh: Behavior) -> Depth1Problem:
     for w in cfg.wings:
         if w.friend:
             constraints.append(MustAll(Implies(
-                atom[w.setting, w.read],
-                disj([conj([atom[w.outcome, v], atom[w.record, v]]) for v in w.outcomes]),
+                atom[w.setting, str(w.read)],
+                disj([conj([atom[w.outcome, v], atom[w.record, v]]) for v in domains[w.outcome]]),
             )))
             admitted &= _sat(g, constraints[-1].body, memo)
 
     conds = []
-    for w, pool in zip(cfg.wings, pools):
-        settings = [(atom[w.setting, z], mask[w.setting, z]) for z in w.settings]
-        events = zip(_chains(atom, And, labels, pool), _chains(mask, operator.and_, labels, pool))
+    for w in cfg.wings:
+        pool = sorted(domains.keys() - {w.outcome, w.setting})
+        settings = [(atom[w.setting, z], g.masks[w.setting, z]) for z in domains[w.setting]]
         # an event no admitted point satisfies is vacuous: it is not emitted
         conds += [(Conditional(event, And(setting, event)), ant, setting_mask & ant)
-                  for event, ant in events if ant & admitted
+                  for event, ant in _chains(atom, g.masks, domains, pool) if ant & admitted
                   for setting, setting_mask in settings]
     constraints += [c for c, _, _ in conds]
 
@@ -323,8 +316,8 @@ def drop_impossibility(problem: Depth1Problem, cell) -> Depth1Problem:
     Raises if the cell is not forbidden in the problem.
     """
     from .kripke import Depth1Problem, Forbidden
-    # the body as encode builds it
-    body = conj([_atom(var, v) for var, v in zip("ABXY", cell)])
+    # the body as encode builds it; a cell's variables come first in atom_domains
+    body = conj([Atom(var, str(v)) for var, v in zip(problem.atom_domains, cell)])
     kept = tuple(c for c in problem.constraints
                  if not (isinstance(c, Forbidden) and c.body == body))
     if len(kept) != len(problem.constraints) - 1:

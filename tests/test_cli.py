@@ -228,6 +228,24 @@ class TestProve:
         out = capsys.readouterr().out
         assert "(A=1, B=1, C=1, D=1, X=1, Y=1)" in out
 
+    def test_names_are_the_hardy_zeros_in_config_order(self, monkeypatch, capsys):
+        table = quantum.born_table(quantum.HARDY_STATE, quantum.HARDY_BASES)
+        assert sum(p == 0 for p in table.values()) == 3
+        zeros = [cell for cell in quantum.HARDY_CONFIG.cells() if table[cell] == 0]
+        names = [f"{name}=(A={a},B={b}|X={x},Y={y})"
+                 for name, (a, b, x, y) in zip(("E2", "E3", "E4"), zeros, strict=True)]
+        assert main(["prove"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "  impossible superobserver events: " + ", ".join(names) in out
+        for name in names:
+            assert any(line.startswith("Dropping the impossibility of " + name.replace("=", " ", 1))
+                       for line in out)
+        dropped, real = [], scenario.drop_impossibility
+        monkeypatch.setattr(scenario, "drop_impossibility",
+                            lambda problem, cell: dropped.append(cell) or real(problem, cell))
+        assert main(["prove", "--drop", "E4"]) == 0
+        assert dropped == [(1, 1, 1, 1)]
+
     def test_json_report(self, capsys):
         assert main(["prove", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -177,7 +177,13 @@ class TestEncode:
         # and the cell bodies share their B & (X & Y) tails
         labelled = behavior_from_json((GOLDEN / "inputs" / "infeasible_3x2.json").read_text())
         seeded = [random_behavior(rng, CONFIG_3X3, p=rng.choice([0.5, 0.7])) for _ in range(4)]
-        for beh in (hardy_beh, labelled, *seeded):
+        # str labels with no friend, Alice's only and Bob's only: atom_domains
+        # holds no record or one after the cell's variables
+        partial = [random_behavior(rng, ScenarioConfig(("p", "q", "r"), ("s_1", "t"), ("u", "v"),
+                                                       ("on", "off", "k_2"), fa, fb, "r", "t"),
+                                   p=rng.choice([0.5, 0.7]))
+                   for fa, fb in ((False, False), (True, False), (False, True))]
+        for beh in (hardy_beh, labelled, *seeded, *partial):
             prob, cells = encode(beh), beh.config.cells()
             forbidden = [k for k, cell in enumerate(cells) if not beh.possible[cell]]
             assert len(forbidden) >= 3
@@ -450,6 +456,29 @@ def _sweep_configs(rng):
                                               friend_a, friend_b, x_values[rx], y_values[ry]))
     rng.shuffle(configs)
     return configs
+
+
+def test_one_atom_object_per_variable_and_value(rng):
+    # cell bodies, reading clauses, antecedents and consequents all take their
+    # atoms from one table, and the cell's variables come first in atom_domains
+    for cfg in _sweep_configs(rng):
+        prob = encode(random_behavior(rng, cfg, p=rng.choice([0.5, 0.8])))
+        assert list(prob.atom_domains)[:4] == ["A", "B", "X", "Y"]
+        ids, seen = {}, set()
+        stack = [clause_formula(c) for c in prob.constraints]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, Atom):
+                ids.setdefault((node.variable, node.value), set()).add(id(node))
+            elif isinstance(node, (Not, Diamond, Box)):
+                stack.append(node.child)
+            else:
+                stack += [node.left, node.right]
+        assert ids.keys() == {(var, v) for var, vals in prob.atom_domains.items() for v in vals}
+        assert all(len(objects) == 1 for objects in ids.values()), cfg
 
 
 def test_encode_compiles_as_the_constructor_does(rng):
