@@ -251,7 +251,10 @@ def encode(beh: Behavior) -> Depth1Problem:
         assignments follow from them.  Nor are the finest assignments that
         no point passing every reading clause satisfies (those that set
         another friend's wing to its read setting with an outcome off that
-        friend's record): their clauses hold vacuously (docs/feasibility.md).
+        friend's record): their clauses hold vacuously.  Nor, taking v as
+        the first wing with a friend and two settings or more, those that
+        set v to its read setting (Bob's events at X=read_x when Alice has
+        a friend): their clauses follow from the others (docs/feasibility.md).
         Each clause is <>E -> <>(Z=z & E), its consequent built on E's own node.
 
     Exactly-one-value per variable is structural: every world of the search
@@ -295,13 +298,16 @@ def encode(beh: Behavior) -> Depth1Problem:
             )))
             admitted &= _sat(g, constraints[-1].body, memo)
 
+    # an event no admitted point satisfies is vacuous, and one that sets v
+    # to its read setting follows from the others: neither is emitted
+    v = next((w for w in cfg.wings if w.friend and len(w.settings) > 1), None)
+    live = admitted & ~g.masks[v.setting, str(v.read)] if v else admitted
     conds = []
     for w in cfg.wings:
         pool = sorted(domains.keys() - {w.outcome, w.setting})
         settings = [(atom[w.setting, z], g.masks[w.setting, z]) for z in domains[w.setting]]
-        # an event no admitted point satisfies is vacuous: it is not emitted
         conds += [(Conditional(event, And(setting, event)), ant, setting_mask & ant)
-                  for event, ant in _chains(atom, g.masks, domains, pool) if ant & admitted
+                  for event, ant in _chains(atom, g.masks, domains, pool) if ant & live
                   for setting, setting_mask in settings]
     constraints += [c for c, _, _ in conds]
 

@@ -137,8 +137,9 @@ class TestEncode:
         # two interventions, one finest assignment per value of the four
         # variables outside each light cone, two intervention values: 2 * 2^4 * 2,
         # less the 2 * 4 * 2 whose event puts the other wing at its read
-        # setting with an outcome off its friend's record
-        assert kinds[Conditional] == 48
+        # setting with an outcome off its friend's record, and the 4 * 2 of
+        # Y whose event puts Alice's wing at X=1 with A=C
+        assert kinds[Conditional] == 40
 
     def test_hardy_forbidden_cells(self, hardy_beh):
         prob = encode(hardy_beh)
@@ -202,7 +203,7 @@ class TestEncode:
     def test_and_node_counts(self, hardy_beh):
         # cell bodies, reading clauses, every wing's events with their
         # shared tails, and one Z=z & E node per Conditional
-        for beh, count in ((hardy_beh, 128), (all_true(CONFIG_3X3), 699)):
+        for beh, count in ((hardy_beh, 110), (all_true(CONFIG_3X3), 651)):
             formulas = [clause_formula(c) for c in encode(beh).constraints]
             assert len({id(node) for f in formulas for node in _and_nodes(f)}) == count
 
@@ -281,7 +282,9 @@ def _admitted_points(prob):
 
 def test_encode_conditionals_match_clause_per_chain_builder(rng):
     # encode emits a finest event's clauses exactly when some grid point
-    # satisfies the event and every MustAll body, in the reference's order
+    # satisfies the event and every MustAll body and, if some friend's wing
+    # has two settings or more, puts the first such wing off its read
+    # setting; in the reference's order
     for friend_a, friend_b in itertools.product((False, True), repeat=2):
         for _ in range(10):
             xs, ys = _random_labels(rng), _random_labels(rng)
@@ -292,16 +295,20 @@ def test_encode_conditionals_match_clause_per_chain_builder(rng):
             beh = random_behavior(rng, cfg, p=rng.choice([0.5, 0.9]))
             constraints = encode(beh).constraints
             full = _full_reference_problem(beh)
-            admitted = _admitted_points(full)
+            read = [(w.setting, str(w.read)) for w in cfg.wings
+                    if w.friend and len(w.settings) > 1][:1]
+            live = [p for p in _admitted_points(full) if all(p[var] != v for var, v in read)]
             expected = tuple(c for c in full.constraints if isinstance(c, Conditional)
-                             and any(eval_prop(c.antecedent, p) for p in admitted))
+                             and any(eval_prop(c.antecedent, p) for p in live))
             head = tuple(c for c in constraints if not isinstance(c, Conditional))
             assert constraints == head + expected
             assert ([render(clause_formula(c)) for c in constraints[len(head):]]
                     == [render(clause_formula(c)) for c in expected])
-            # a friend with two outcomes or more leaves the other wing vacuous events
+            # a friend with two outcomes or more leaves the other wing vacuous
+            # events, and one with two settings or more its read-setting events
             pruned = len(expected) < len(full.constraints) - len(head)
-            assert pruned == any(w.friend and len(w.outcomes) > 1 for w in cfg.wings)
+            assert pruned == any(w.friend and (len(w.outcomes) > 1 or len(w.settings) > 1)
+                                 for w in cfg.wings)
 
 
 def _coarse_conditionals(prob):
@@ -385,10 +392,19 @@ def test_finest_family_solves_like_full_family(rng, cfg):
             assert recheck_model(full, slim.points)
             assert recheck_model(wide, slim.points)
         else:
-            # the clauses left out never fire, so the cores are equal
-            assert slim.core == ref.core
-            assert slim.core.required == broad.core.required
-            assert slim.core.never_candidates == broad.core.never_candidates
+            # the greatest fixpoints are equal, so the same Required clause
+            # fails over the same excluded and removed points; a clause left
+            # out may still fire in the reference, so a removal may name
+            # another clause
+            for core in (ref.core, broad.core):
+                assert slim.core.required == core.required
+                assert slim.core.never_candidates == core.never_candidates
+                assert _removed(slim.core) == _removed(core)
+
+
+def _removed(core):
+    """The union of the points an UnsatCore's removals name."""
+    return {point for _, points in core.removals for point in points}
 
 
 def test_friendless_satisfiability_is_pns(rng):
@@ -482,10 +498,13 @@ def test_one_atom_object_per_variable_and_value(rng):
 
 
 def test_encode_compiles_as_the_constructor_does(rng):
+    # and decides as the full finest family does: the sweep holds wings with
+    # one setting, which keep their read-setting events
     configs = _sweep_configs(rng)
     assert len(configs) == 625
     for cfg in configs:
-        prob = encode(random_behavior(rng, cfg, p=rng.choice([0.5, 0.8])))
+        beh = random_behavior(rng, cfg, p=rng.choice([0.5, 0.8]))
+        prob = encode(beh)
         full = Depth1Problem(prob.atom_domains, prob.constraints)
         assert prob._grid == full._grid
         assert prob._start == full._start
@@ -495,6 +514,9 @@ def test_encode_compiles_as_the_constructor_does(rng):
         # each compiled Conditional is the problem's own clause, in order
         conditionals = [c for c in prob.constraints if isinstance(c, Conditional)]
         assert all(c is d for (c, _, _), d in zip(prob._conds, conditionals, strict=True))
+        slim, ref = solve_depth1(prob), solve_depth1(_full_reference_problem(beh))
+        assert type(slim) is type(ref), cfg
+        assert not isinstance(slim, Model) or slim.points == ref.points, cfg
 
 
 class TestBehaviorJson:
