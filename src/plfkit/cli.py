@@ -8,9 +8,10 @@ Subcommands:
     prove   end-to-end no-go reproduction with assumption-necessity runs
 
 Exit codes: 0 success / feasible / sat / true; 1 infeasible / unsat /
-violation / false; 2 usage or input error, or a closed stdout; 3 internal
-error (the routes disagree, a witness table or model fails its check, or
-any other fault inside a subcommand).  An error is one line on stderr.
+violation / false; 2 usage or input error, an input too large to decide in
+the available memory, or a closed stdout; 3 internal error (the routes
+disagree, a witness table or model fails its check, or any other fault
+inside a subcommand).  An error is one line on stderr.
 
 A subcommand prints nothing but returns a `RunReport`; `main` writes its
 --out files, then its text or, under --json, the report itself.
@@ -395,6 +396,9 @@ def main(argv=None) -> int:
     except RecursionError:
         # the library's own formulas nest a few levels, so only input overflows
         print("error: input nests too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: the input is too large to decide in the available memory", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
         # any other fault: exit 3, never a code that reads as a verdict

@@ -291,7 +291,7 @@ Clause = MustAll | Forbidden | Required | Conditional
 
 
 def clause_formula(c: Clause) -> Formula:
-    """The modal formula a clause stands for, for evaluator-based rechecks."""
+    """The one spelling of a clause as the modal formula it stands for."""
     if isinstance(c, MustAll):
         return Box(c.body)
     if isinstance(c, Forbidden):
@@ -351,7 +351,9 @@ class UnsatCore(Record):
     """Why a Required clause cannot be covered.
 
     never_candidates: its witnesses excluded up front by MustAll/Forbidden,
-    removals: the Conditional deflation steps that emptied the rest.
+    removals: the solver's logged Conditional removals cut to the Required
+    body, empty ones dropped, so they partition the body with never_candidates.
+    That cut log is not a refutation that can be replayed on its own.
     Each point is a sorted tuple of (variable, value) pairs.
     """
 
@@ -464,18 +466,13 @@ def solve_depth1(p: Depth1Problem) -> SatResult:
 
     for c, mask in p._reqs:
         if not (current & mask):
-            never = mask & ~start
-            removals = []
-            alive = mask & start
-            for cond, removed in removal_log:
-                hit = removed & alive
-                if hit:
-                    removals.append((cond, _points(p, hit)))
-                    alive &= ~hit
+            # each logged removal left `current` at once, so the removals are
+            # disjoint subsets of start; cut to the body, they cover its start points
             core = UnsatCore(
                 required=c,
-                never_candidates=_points(p, never),
-                removals=tuple(removals),
+                never_candidates=_points(p, mask & ~start),
+                removals=tuple((cond, _points(p, removed & mask))
+                               for cond, removed in removal_log if removed & mask),
             )
             return Unsat(core)
 

@@ -80,7 +80,7 @@ class ProofTrace(Record):
     """Infeasibility certificate: a possible cell no slice can retain."""
 
     target_cell: tuple
-    branches: tuple  # ((c, d), (RemovalStep, ...)) per slice
+    branches: tuple  # per slice, ((c, d), its steps through the first that removes target_cell)
 
     def to_dict(self) -> dict:
         return {
@@ -205,16 +205,12 @@ def plf_feasible(beh: Behavior) -> Verdict:
                    for (c, d), sl in slices.items() for (a, b, x, y), v in sl.cells.items()}
         return Verdict(True, ExtendedTable(cfg, entries), None)
 
+    # the target is possible and in no slice, so every slice's log removes it
     target = _cells_of(cfg.cell_index.cells, uncovered)[0]
-    branches = []
-    for cd, sl in slices.items():
-        branch: list[RemovalStep] = []
-        for step in sl.steps:
-            branch.append(step)
-            if target in step.cells:
-                break
-        branches.append((cd, tuple(branch)))
-    return Verdict(False, None, ProofTrace(target_cell=target, branches=tuple(branches)))
+    branches = tuple(
+        (cd, sl.steps[:next(i for i, s in enumerate(sl.steps) if target in s.cells) + 1])
+        for cd, sl in slices.items())
+    return Verdict(False, None, ProofTrace(target_cell=target, branches=branches))
 
 
 def trace_to_text(trace: ProofTrace, cfg: ScenarioConfig) -> str:

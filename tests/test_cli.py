@@ -597,6 +597,34 @@ def test_closed_stdout_in_process(capsys):
     assert (after.st_dev, after.st_ino) == (fd_target.st_dev, fd_target.st_ino)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS binds only on Linux; elsewhere the child runs unbounded")
+def test_input_too_large_for_memory_exits_2(tmp_path):
+    """An all-possible 8x8 behavior with both friends, checked under a child
+    address-space limit of about 400 MB: the run out of memory is exit 2 and
+    one `error:` line, with no traceback and nothing on stdout."""
+    resource = pytest.importorskip("resource")
+    labels = list(range(8))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "x_values": labels, "y_values": labels, "a_values": labels, "b_values": labels,
+        "friend_a": True, "friend_b": True, "read_x": 0, "read_y": 0,
+        "possible": [[a, b, x, y] for a in labels for b in labels for x in labels for y in labels],
+    }))
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 400 * 10**6 if hard == resource.RLIM_INFINITY else min(400 * 10**6, hard)
+
+    def cap():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    proc = subprocess.run([sys.executable, "-m", "plfkit.cli", "check", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the input is too large to decide in the available memory\n"
+
+
 def _cli_proc(argv, stdin=b"", env=None):
     """(exit code, stdout, stderr) of `python -m plfkit.cli argv` fed `stdin` bytes."""
     env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))

@@ -461,6 +461,39 @@ def test_recheck_rejects_model_with_a_point_removed(hardy_beh):
     assert recheck_model(problem, smaller) is False
 
 
+@pytest.mark.parametrize("friends", list(itertools.product((False, True), repeat=2)),
+                         ids=["none", "b", "a", "both"])
+@pytest.mark.parametrize("n_settings, n_outcomes", [(2, 2), (3, 2), (2, 3)],
+                         ids=["2x2", "3x2", "2x3"])
+def test_unsat_core_partitions_the_required_body(n_settings, n_outcomes, friends):
+    """An encoded problem's core: never_candidates and the points of each
+    removal, every removal nonempty, are pairwise disjoint and together are
+    exactly the grid points where the failing Required body holds."""
+    rng = random.Random(31 + 10 * n_settings + n_outcomes)
+    unsat = 0
+    for _ in range(25):
+        xs, labels = tuple(range(1, n_settings + 1)), tuple(range(n_outcomes))
+        cfg = ScenarioConfig(x_values=xs, y_values=xs, a_values=labels, b_values=labels,
+                             friend_a=friends[0], friend_b=friends[1],
+                             read_x=rng.choice(xs), read_y=rng.choice(xs))
+        problem = encode(random_behavior(rng, cfg, p=rng.choice([0.5, 0.7, 0.85])))
+        result = solve_depth1(problem)
+        if isinstance(result, Model):
+            continue
+        unsat += 1
+        core = result.core
+        assert all(points for _, points in core.removals)
+        parts = [core.never_candidates, *(points for _, points in core.removals)]
+        listed = [pt for part in parts for pt in part]
+        assert len(listed) == len(set(listed))
+        variables = sorted(problem.atom_domains)
+        body = {tuple(zip(variables, combo))
+                for combo in itertools.product(*(problem.atom_domains[v] for v in variables))
+                if eval_prop(core.required.body, dict(zip(variables, combo)))}
+        assert set(listed) == body
+    assert unsat, "no unsatisfiable problem drawn"
+
+
 def test_union_closure_of_satisfying_sets():
     rng = random.Random(11)
     found = draws = 0
