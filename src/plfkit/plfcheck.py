@@ -10,12 +10,13 @@ Reading constraints and marginal equalities each fix a single (c, d), so
 the table decomposes into independent slices coupled only through the OR
 coverage.  Valid slices are closed under union (see docs/feasibility.md),
 so each slice has a unique maximal valid sub-table, found by deflation;
-the behavior is feasible iff the slice maxima jointly cover it.
+the behavior is feasible iff the slice maxima jointly cover it.  Every
+slice deflates one int from the behavior's `cell_mask` and its config's
+`off_record` masks, each built once; the witness check reads each slice
+once, as a set of cells, and never the masks.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 from ._record import Record
 from .scenario import Behavior, ScenarioConfig
@@ -46,14 +47,23 @@ def cd_values(cfg: ScenarioConfig):
 
 
 class RemovalStep(Record):
-    """One elimination during slice deflation."""
+    """One elimination during slice deflation: its kind, "reading" or
+    "marginal", the killed (a, b, x, y) cells and why they die."""
 
-    kind: str  # "reading" or "marginal"
-    cells: tuple  # killed (a, b, x, y) cells
-    detail: str
+    __slots__ = _fields = ("kind", "cells", "detail")
+
+    def __init__(self, kind: str, cells: tuple, detail: str):
+        _set_kind(self, kind)
+        _set_cells(self, cells)
+        _set_detail(self, detail)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "cells": [list(c) for c in self.cells], "detail": self.detail}
+
+
+# the slots' own setters, as for the formula nodes: a deflation logs many steps
+_set_kind, _set_cells, _set_detail = (RemovalStep.kind.__set__, RemovalStep.cells.__set__,
+                                      RemovalStep.detail.__set__)
 
 
 class SliceTable(Record):
@@ -117,12 +127,6 @@ def _cells_of(cells: tuple, mask: int) -> tuple:
     return tuple(out)
 
 
-def _possible_mask(beh: Behavior) -> int:
-    """The behavior's possible cells as a mask over its config's `cell_index`."""
-    bit = beh.config.cell_index.bit
-    return sum(compress(bit.values(), map(beh.possible.__getitem__, bit)))
-
-
 def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
     """Greatest sub-table of the behavior valid for friend records (c, d).
 
@@ -130,12 +134,14 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
     the witnessed side of any cross-setting marginal mismatch until a
     fixpoint.  Valid sub-tables are union-closed, so the fixpoint is the
     union of them all.  The slice is kept as a mask over the config's
-    `cell_index` and decoded to cells for the record; the mask is also
-    stored on the result as `_mask`.
+    `cell_index`, starting from the behavior's `cell_mask`; the reading
+    rule removes the config's `off_record` mask of each friend's record.
+    The mask is decoded to cells for the record and also stored on the
+    result as `_mask`.
     """
     cfg = beh.config
     index = cfg.cell_index
-    mask = _possible_mask(beh)
+    mask = beh.cell_mask
     steps: list[RemovalStep] = []
 
     for wing, record in zip(cfg.wings, (c, d)):
@@ -146,11 +152,7 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
                              "is set, else None")
         if not wing.friend:
             continue
-        events = index.events[wing.index]
-        # the read setting's cells whose outcome is not the record
-        off_record = sum(col for o in wing.outcomes if o != record
-                         for col in events[(o, wing.read)].values())
-        killed = mask & off_record
+        killed = mask & index.off_record[wing.index][record]
         if killed:
             mask ^= killed
             steps.append(RemovalStep(
@@ -199,7 +201,7 @@ def plf_feasible(beh: Behavior) -> Verdict:
     covered = 0
     for sl in slices.values():
         covered |= sl._mask
-    uncovered = _possible_mask(beh) & ~covered
+    uncovered = beh.cell_mask & ~covered
     if not uncovered:
         entries = {(a, b, c, d, x, y): v
                    for (c, d), sl in slices.items() for (a, b, x, y), v in sl.cells.items()}
@@ -231,7 +233,8 @@ def trace_to_text(trace: ProofTrace, cfg: ScenarioConfig) -> str:
 
 
 def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
-    """Full invariant check of a witness table against a behavior."""
+    """Full invariant check of a witness table against a behavior, over
+    sets of cells read from `wings`, never from the cell index."""
     cfg = t.config
     if cfg != beh.config:
         raise ConfigMismatch("extended table and behavior configs differ")
@@ -241,21 +244,17 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
     if len(entries) != len(cells) * len(cds):
         return False
 
-    marginal = dict.fromkeys(cells, False)
+    covered = set()
     for (c, d) in cds:
-        # the slice keyed like the behavior, its possible cells ORed into the marginal
-        sl = {}
-        for cell in cells:
-            a, b, x, y = cell
-            key = (a, b, c, d, x, y)
-            if key not in entries:
-                return False
-            v = sl[cell] = entries[key]
-            if v:
-                marginal[cell] = True
+        # the slice's possible cells, keyed like the behavior
+        try:
+            sl = {(a, b, x, y) for a, b, x, y in cells if entries[a, b, c, d, x, y]}
+        except KeyError:
+            return False
+        covered |= sl
         for wing, record in zip(cfg.wings, (c, d)):
             for (outcome, setting), columns in wing.events.items():
-                margs = {any(map(sl.__getitem__, col)) for col in columns.values()}
+                margs = {not sl.isdisjoint(col) for col in columns.values()}
                 # one value in every column; at the read setting only the record's
                 # outcome may be possible
                 if len(margs) > 1 or (True in margs and wing.friend
@@ -263,4 +262,4 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
                     return False
 
     # a Behavior has a possible cell in every context, so coverage gives the table one too
-    return marginal == beh.possible
+    return covered == {cell for cell, v in beh.possible.items() if v}

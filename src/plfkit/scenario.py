@@ -54,11 +54,14 @@ class CellIndex(Record):
 
     A set of cells is the sum of their bits; cell i of `cells` has the bit
     1 << i, so reading a mask's bits from the lowest gives config order.
+    `off_record` holds, per friend and record, the cells its reading rule
+    removes, so that no slice sums them again.
     """
 
     cells: tuple  # the cells in config order
     bit: dict  # cell -> its bit, in config order
     events: tuple  # per wing, its `events` with each column as the mask of its cells
+    off_record: tuple  # per wing, record -> its read setting's cells of the other outcomes
 
 
 class ScenarioConfig(Record):
@@ -117,10 +120,12 @@ class ScenarioConfig(Record):
         """The `CellIndex` of this config, built once per config."""
         cells = tuple(self.cells())
         bit = {cell: 1 << i for i, cell in enumerate(cells)}
-        return CellIndex(cells, bit, tuple(
-            {event: {s: sum(map(bit.__getitem__, col)) for s, col in columns.items()}
-             for event, columns in wing.events.items()}
-            for wing in self.wings))
+        events = tuple({event: {s: sum(map(bit.__getitem__, col)) for s, col in columns.items()}
+                        for event, columns in wing.events.items()} for wing in self.wings)
+        return CellIndex(cells, bit, events, tuple(
+            {r: sum(col for o in wing.outcomes if o != r for col in ev[o, wing.read].values())
+             for r in wing.outcomes} if wing.friend else {}
+            for wing, ev in zip(self.wings, events)))
 
 
 class Behavior(Record):
@@ -144,6 +149,13 @@ class Behavior(Record):
             if not any(table[(a, b, x, y)]
                        for a in self.config.a_values for b in self.config.b_values):
                 raise ValueError(f"context (x={x}, y={y}) has no possible outcome")
+
+    @cached_property
+    def cell_mask(self) -> int:
+        """The possible cells as a mask over the config's `cell_index`, built
+        once per behavior."""
+        bit = self.config.cell_index.bit
+        return sum(itertools.compress(bit.values(), map(self.possible.__getitem__, bit)))
 
     @staticmethod
     def from_cells(config: ScenarioConfig, true_cells) -> "Behavior":

@@ -21,10 +21,12 @@ import pytest
 
 from plfkit.cli import build_parser, main
 from plfkit.formula import render
-from plfkit.kripke import Unsat, clause_formula, solve_depth1
-from plfkit.plfcheck import plf_feasible
+from plfkit.kripke import Model, Unsat, clause_formula, recheck_model, solve_depth1
+from plfkit.plfcheck import plf_feasible, validate_extended_table
 from plfkit.quantum import hardy_behavior
-from plfkit.scenario import ScenarioConfig, behavior_from_json, behavior_to_json, encode
+from plfkit.scenario import (Behavior, ScenarioConfig, behavior_from_json, behavior_to_json,
+                             check_pns, encode)
+from oracles import naive_depth1_satisfiable
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -125,6 +127,20 @@ def encode_text(src) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a PNS behavior with no Hardy pattern whose refutation needs a 3-outcome party:
+# x in {0, 1}, y in {0, 1, 2}, a in {0, 1, 2}, b in {0, 1}, friends reading setting 0
+NONHARDY_CONFIG = dict(x_values=(0, 1), y_values=(0, 1, 2), a_values=(0, 1, 2), b_values=(0, 1),
+                       read_x=0, read_y=0)
+NONHARDY_IMPOSSIBLE = {(0, 1, 0, 2), (1, 0, 1, 0), (1, 0, 1, 2), (1, 1, 0, 1), (2, 1, 0, 0)}
+
+
+def nonhardy_json() -> str:
+    """The behavior file of the non-Hardy refutation, both friends present."""
+    cfg = ScenarioConfig(friend_a=True, friend_b=True, **NONHARDY_CONFIG)
+    beh = Behavior(cfg, {cell: cell not in NONHARDY_IMPOSSIBLE for cell in cfg.cells()})
+    return json.dumps(behavior_to_json(beh), indent=2, sort_keys=True) + "\n"
+
+
 def outputs() -> dict:
     """File name -> text of every golden file, as the current tree makes them."""
     _, hardy_out, hardy_err = _run(["hardy"])
@@ -140,6 +156,7 @@ def outputs() -> dict:
         "feasible_3x2_witness.json": feasible_witness()[2],
         **hardy_out_files(),
         **{name: encode_text(src) for name, src in ENCODE.items()},
+        "nonhardy_2x3.json": nonhardy_json(),
     }
 
 
@@ -272,6 +289,38 @@ def test_subcommand_without_site_packages(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(ENCODE))
 def test_encode(name):
     assert encode_text(ENCODE[name]) == (GOLDEN / name).read_text()
+
+
+# (friend_a, friend_b) -> (feasible, clauses encode gives)
+NONHARDY_VERDICTS = {
+    (True, True): (False, 152),
+    (True, False): (False, 100),
+    (False, True): (True, 89),
+    (False, False): (True, 66),
+}
+
+
+def test_nonhardy_file():
+    assert nonhardy_json() == (GOLDEN / "nonhardy_2x3.json").read_text()
+
+
+@pytest.mark.parametrize("friends", sorted(NONHARDY_VERDICTS, reverse=True))
+def test_nonhardy_verdicts(friends):
+    """Both routes and the naive modal oracle agree on each friend
+    configuration, and a feasible verdict's two certificates pass."""
+    pinned = behavior_from_json((GOLDEN / "nonhardy_2x3.json").read_text())
+    cfg = ScenarioConfig(friend_a=friends[0], friend_b=friends[1], **NONHARDY_CONFIG)
+    beh = Behavior(cfg, pinned.possible)
+    assert check_pns(beh).holds
+    feasible, clauses = NONHARDY_VERDICTS[friends]
+    verdict, problem = plf_feasible(beh), encode(beh)
+    result = solve_depth1(problem)
+    assert len(problem.constraints) == clauses
+    assert (verdict.feasible, isinstance(result, Model)) == (feasible, feasible)
+    assert naive_depth1_satisfiable(problem) is feasible
+    if feasible:
+        assert validate_extended_table(verdict.witness, beh)
+        assert recheck_model(problem, result.points)
 
 
 def test_behavior_json_key_order():

@@ -360,6 +360,45 @@ def test_mask_deflation_matches_the_cell_dict_reference(friend_a, friend_b):
     assert kinds == ({"reading", "marginal"} if friend_a or friend_b else {"marginal"})
 
 
+@pytest.mark.parametrize("friend_a, friend_b",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_off_record_masks_are_the_read_setting_cells_of_the_other_outcomes(friend_a, friend_b):
+    rng = random.Random(1400 + 2 * friend_a + friend_b)
+    for _ in range(100):
+        cfg = _random_config(rng, friend_a, friend_b)
+        index = cfg.cell_index
+        for wing, off_record in zip(cfg.wings, index.off_record):
+            if not wing.friend:
+                assert off_record == {}
+                continue
+            i = wing.index
+            assert list(off_record) == list(wing.outcomes)
+            for record, mask in off_record.items():
+                assert mask == sum(index.bit[cell] for cell in cfg.cells()
+                                   if cell[i + 2] == wing.read and cell[i] != record)
+
+
+class _CountingReads(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_plf_feasible_reads_the_behavior_once():
+    # 9 slices and the coverage test share one possible mask per behavior
+    cfg = ScenarioConfig(x_values=(0, 1, 2), y_values=(0, 1, 2), a_values=(0, 1, 2),
+                         b_values=(0, 1, 2), friend_a=True, friend_b=True, read_x=0, read_y=0)
+    beh = random_behavior(random.Random(1600), cfg, p=0.8)
+    expected = plf_feasible(Behavior(cfg, beh.possible))
+    possible = _CountingReads(beh.possible)
+    object.__setattr__(beh, "possible", possible)
+    assert plf_feasible(beh) == expected
+    assert len(cd_values(cfg)) == 9
+    assert possible.reads == len(cfg.cells())
+
+
 # -- the witness check against the key-set check it replaced -----------------
 
 
@@ -442,8 +481,8 @@ def test_witness_check_matches_the_key_set_reference(friend_a, friend_b):
 def test_checks_and_oracles_never_reach_the_cell_index():
     import oracles
     modules = (plfcheck, scenario, oracles)
-    index_names = {"cell_index", "CellIndex", "_mask", "_cells_of", "_possible_mask"}
-    assert {"cell_index", "_mask", "_possible_mask"} <= names_reached(modules, plf_feasible)
+    index_names = {"cell_index", "CellIndex", "_mask", "_cells_of", "cell_mask", "off_record"}
+    assert index_names - {"CellIndex"} <= names_reached(modules, plf_feasible)
     deciders = (check_pns, validate_extended_table, oracles.naive_depth1_satisfiable,
                 oracles.set_satisfies, oracles.slice_cells_valid, oracles.enumerate_valid_slices,
                 oracles.brute_force_feasible, oracles.naive_evaluate)
