@@ -201,8 +201,10 @@ def cmd_check(args) -> RunReport:
         "feasible\n" if verdict.feasible
         else "infeasible\n" + plfcheck.trace_to_text(verdict.trace, beh.config) + "\n")
     if args.out:
-        payload = {"witness": [list(k) for k, v in sorted(
-            verdict.witness.entries.items(), key=lambda kv: tuple(str(p) for p in kv[0])) if v]
+        # the six-slot rows, sorted: a slice's iteration order depends on the hash seed
+        payload = {"witness": sorted(
+            ([a, b, c, d, x, y] for (c, d), sl in verdict.witness.slices.items()
+             for a, b, x, y in sl), key=lambda row: [str(p) for p in row])
         } if verdict.feasible else verdict.trace.to_dict()
         report.files[args.out] = _dumps(payload, sort_keys=True) + "\n"
     return report

@@ -7,13 +7,14 @@ of the other wing's setting for every fixed (c, d), and (iii) ORs over
 (c, d) to exactly the observed behavior.
 
 Reading constraints and marginal equalities each fix a single (c, d), so
-the table decomposes into independent slices coupled only through the OR
-coverage.  Valid slices are closed under union (see docs/feasibility.md),
-so each slice has a unique maximal valid sub-table, found by deflation;
-the behavior is feasible iff the slice maxima jointly cover it.  Every
-slice deflates one int from the behavior's `cell_mask` and its config's
-`off_record` masks, each built once; the witness check reads each slice
-once, as a set of cells, and never the masks.
+the table is its slices, one per (c, d), coupled only through the OR
+coverage; a slice is the frozenset of its possible (a, b, x, y) cells.
+Valid slices are closed under union (see docs/feasibility.md), so each
+slice has a unique maximal valid sub-table, found by deflation; the
+behavior is feasible iff the slice maxima jointly cover it.  Every slice
+deflates one int from the behavior's `cell_mask` and its config's
+`off_record` masks, each built once; the witness check reads the slices
+as sets of cells, and never the masks.
 """
 
 from __future__ import annotations
@@ -67,23 +68,23 @@ _set_kind, _set_cells, _set_detail = (RemovalStep.kind.__set__, RemovalStep.cell
 
 
 class SliceTable(Record):
-    """Maximal valid sub-table for one (c, d), with its elimination log."""
+    """Maximal valid sub-table for one (c, d): its possible (a, b, x, y)
+    cells, with its elimination log."""
 
     cd: tuple
-    cells: dict[tuple, bool]
+    cells: frozenset
     steps: tuple
 
 
 class ExtendedTable(Record):
-    """Joint possibility table over (a, b, c, d, x, y).
-
-    Keys always have six slots; c (resp. d) is None when the corresponding
-    friend is absent.  Invariants are checked by validate_extended_table,
-    not by the constructor, so counterexample tables can be built in tests.
-    """
+    """Joint possibility table over (a, b, c, d, x, y) as its slices: each
+    (c, d), in `cd_values` order, maps to the frozenset of its possible
+    (a, b, x, y) cells; c (resp. d) is None when that friend is absent.
+    Invariants are checked by validate_extended_table, not by the
+    constructor, so counterexample tables can be built in tests."""
 
     config: ScenarioConfig
-    entries: dict[tuple, bool]
+    slices: dict[tuple, frozenset]
 
 
 class ProofTrace(Record):
@@ -136,8 +137,7 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
     union of them all.  The slice is kept as a mask over the config's
     `cell_index`, starting from the behavior's `cell_mask`; the reading
     rule removes the config's `off_record` mask of each friend's record.
-    The mask is decoded to cells for the record and also stored on the
-    result as `_mask`.
+    The mask is decoded to cells for the record.
     """
     cfg = beh.config
     index = cfg.cell_index
@@ -185,10 +185,8 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
                         ))
                 changed = True
 
-    sl = SliceTable((c, d), {cell: (mask & b) != 0 for cell, b in index.bit.items()},
-                    tuple(steps))
-    object.__setattr__(sl, "_mask", mask)
-    return sl
+    return SliceTable((c, d), frozenset(cell for cell, b in index.bit.items() if mask & b),
+                      tuple(steps))
 
 
 def plf_feasible(beh: Behavior) -> Verdict:
@@ -198,17 +196,14 @@ def plf_feasible(beh: Behavior) -> Verdict:
     # wraps to time each slice
     slices = {cd: maximal_subtable(beh, *cd) for cd in cd_values(cfg)}
 
-    covered = 0
-    for sl in slices.values():
-        covered |= sl._mask
-    uncovered = beh.cell_mask & ~covered
-    if not uncovered:
-        entries = {(a, b, c, d, x, y): v
-                   for (c, d), sl in slices.items() for (a, b, x, y), v in sl.cells.items()}
-        return Verdict(True, ExtendedTable(cfg, entries), None)
+    # the slices keep only possible cells: they cover them all iff they hold as many
+    covered = frozenset().union(*(sl.cells for sl in slices.values()))
+    if len(covered) == beh.cell_mask.bit_count():
+        return Verdict(True, ExtendedTable(cfg, {cd: sl.cells for cd, sl in slices.items()}), None)
 
     # the target is possible and in no slice, so every slice's log removes it
-    target = _cells_of(cfg.cell_index.cells, uncovered)[0]
+    target = next(cell for cell in _cells_of(cfg.cell_index.cells, beh.cell_mask)
+                  if cell not in covered)
     branches = tuple(
         (cd, sl.steps[:next(i for i, s in enumerate(sl.steps) if target in s.cells) + 1])
         for cd, sl in slices.items())
@@ -238,19 +233,11 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
     cfg = t.config
     if cfg != beh.config:
         raise ConfigMismatch("extended table and behavior configs differ")
-
-    cells, cds, entries = cfg.cells(), cd_values(cfg), t.entries
-    # as many keys as expected and each expected key there: the same key set
-    if len(entries) != len(cells) * len(cds):
+    if t.slices.keys() != set(cd_values(cfg)):
         return False
 
     covered = set()
-    for (c, d) in cds:
-        # the slice's possible cells, keyed like the behavior
-        try:
-            sl = {(a, b, x, y) for a, b, x, y in cells if entries[a, b, c, d, x, y]}
-        except KeyError:
-            return False
+    for (c, d), sl in t.slices.items():
         covered |= sl
         for wing, record in zip(cfg.wings, (c, d)):
             for (outcome, setting), columns in wing.events.items():

@@ -129,7 +129,9 @@ class ScenarioConfig(Record):
 
 
 class Behavior(Record):
-    """Possibility table over (a, b, x, y), total over the domain product."""
+    """Possibility table over (a, b, x, y), total over the domain product;
+    immutable, since `cell_mask` is built once from `possible`, which must
+    not be edited."""
 
     config: ScenarioConfig
     possible: dict[tuple, bool]

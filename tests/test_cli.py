@@ -625,6 +625,27 @@ def test_input_too_large_for_memory_exits_2(tmp_path):
     assert proc.stderr == "error: the input is too large to decide in the available memory\n"
 
 
+def test_witness_file_does_not_depend_on_the_hash_seed(tmp_path):
+    """A slice is a frozenset, whose order over str labels follows the hash
+    seed; the witness file of an all-possible 3x3 behavior, feasible by full
+    support, is the same under two seeds."""
+    xs, outs = ["x0", "x1", "x2"], ["o0", "o1", "o2"]
+    path = tmp_path / "strs.json"
+    path.write_text(json.dumps({
+        "x_values": xs, "y_values": xs, "a_values": outs, "b_values": outs,
+        "friend_a": True, "friend_b": True, "read_x": "x0", "read_y": "x1",
+        "possible": [[a, b, x, y] for a in outs for b in outs for x in xs for y in xs],
+    }))
+    witnesses = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"witness{seed}.json"
+        code, _, err = _cli_proc(["check", str(path), "--out", str(out)],
+                                 env={"PYTHONHASHSEED": seed})
+        assert code == 0, err
+        witnesses.append(out.read_bytes())
+    assert witnesses[0] == witnesses[1]
+
+
 def _cli_proc(argv, stdin=b"", env=None):
     """(exit code, stdout, stderr) of `python -m plfkit.cli argv` fed `stdin` bytes."""
     env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))

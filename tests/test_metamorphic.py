@@ -60,10 +60,6 @@ def random_config(rng, settings, outcomes, friend_a, friend_b) -> ScenarioConfig
     )
 
 
-def kept(sl):
-    return {cell for cell, v in sl.cells.items() if v}
-
-
 @pytest.mark.parametrize("friends", FRIENDS, ids=["none", "b", "a", "both"])
 @pytest.mark.parametrize("size", SIZES, ids=["2x2", "3x2", "2x3"])
 def test_party_swap(rng, size, friends):
@@ -84,8 +80,8 @@ def test_party_swap(rng, size, friends):
         assert set(swapped_violations) == {mirror_violation(v) for v in violations}
 
         for c, d in cd_values(cfg):
-            assert {mirror(cell) for cell in kept(maximal_subtable(beh, c, d))} \
-                == kept(maximal_subtable(swapped, d, c))
+            assert {mirror(cell) for cell in maximal_subtable(beh, c, d).cells} \
+                == maximal_subtable(swapped, d, c).cells
 
 
 FIELDS = {("A", "outcome"): "a_values", ("B", "outcome"): "b_values",
@@ -143,9 +139,9 @@ def assert_renamed_answers(beh, party, kind, mapping):
         new_cd = cd
         if kind == "outcome" and cd[wing] is not None:
             new_cd = cd[:wing] + (mapping[cd[wing]],) + cd[wing + 1:]
-        cells = kept(maximal_subtable(beh, *cd))
+        cells = maximal_subtable(beh, *cd).cells
         assert {cell[:i] + (mapping[cell[i]],) + cell[i + 1:] for cell in cells} \
-            == kept(maximal_subtable(renamed, *new_cd))
+            == maximal_subtable(renamed, *new_cd).cells
 
 
 @pytest.mark.parametrize("party", ["A", "B"])

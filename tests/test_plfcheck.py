@@ -33,22 +33,22 @@ def all_true(config=BOTH_FRIENDS):
 class TestMaximalSubtable:
     def test_hardy_slice_00_kills_the_target_cell(self, hardy_beh):
         sl = maximal_subtable(hardy_beh, 0, 0)
-        assert sl.cells[(1, 1, 2, 2)] is False
+        assert (1, 1, 2, 2) not in sl.cells
 
     def test_all_possible_closed_form(self):
         beh = all_true()
         for (c, d) in cd_values(BOTH_FRIENDS):
             sl = maximal_subtable(beh, c, d)
-            for (a, b, x, y), v in sl.cells.items():
+            for (a, b, x, y) in BOTH_FRIENDS.cells():
                 expected = (x != 1 or a == c) and (y != 1 or b == d)
-                assert v == expected
+                assert ((a, b, x, y) in sl.cells) == expected
 
     def test_matching_deterministic_behavior_is_a_fixpoint(self):
         # one possible cell per context, following the (c, d) = (0, 0) reading
         cells = [(0, 0, 1, 1), (0, 0, 1, 2), (0, 0, 2, 1), (0, 0, 2, 2)]
         beh = Behavior.from_cells(BOTH_FRIENDS, cells)
         sl = maximal_subtable(beh, 0, 0)
-        assert sl.cells == beh.possible
+        assert sl.cells == set(cells)
         assert sl.steps == ()
 
     def test_slice_argument_validation(self, hardy_beh):
@@ -71,7 +71,7 @@ class TestMaximalSubtable:
             cd = rng.choice(cd_values(BOTH_FRIENDS))
             union = frozenset().union(*enumerate_valid_slices(beh, *cd))
             sl = maximal_subtable(beh, *cd)
-            assert {cell for cell, v in sl.cells.items() if v} == set(union)
+            assert sl.cells == union
 
     def test_union_closure_of_valid_subtables(self, rng):
         checked = 0
@@ -115,8 +115,8 @@ class TestPlfFeasible:
                        {cell: cell[0] == 0 and cell[1] == 0 for cell in BOTH_FRIENDS.cells()})
         verdict = plf_feasible(beh)
         assert verdict.feasible
-        on = {k for k, v in verdict.witness.entries.items() if v}
-        assert on and all(c == 0 and d == 0 for (_, _, c, d, _, _) in on)
+        on = {cd for cd, sl in verdict.witness.slices.items() if sl}
+        assert on == {(0, 0)}
 
     def test_trace_replay_reproduces_fixpoint(self, hardy_beh, rng):
         behaviors = [hardy_beh] + [random_behavior(rng) for _ in range(20)]
@@ -128,7 +128,7 @@ class TestPlfFeasible:
                     for cell in step.cells:
                         assert replay[cell], "step kills an already-dead cell"
                         replay[cell] = False
-                assert replay == dict(sl.cells)
+                assert {cell for cell, v in replay.items() if v} == sl.cells
 
     def test_trace_text_mentions_every_record_assignment(self, hardy_beh):
         text = trace_to_text(plf_feasible(hardy_beh).trace, hardy_beh.config)
@@ -187,25 +187,22 @@ class TestValidateExtendedTable:
         for added in ([(1, 0, 1, 2)],
                       [(1, 0, 1, 1), (1, 0, 1, 2), (1, 1, 1, 2)],
                       [(0, 1, 1, 1), (0, 1, 2, 1), (1, 1, 2, 1)]):
-            entries = dict(witness.entries)
-            for a, b, x, y in added:
-                entries[(a, b, 0, 0, x, y)] = True
-            assert not validate_extended_table(ExtendedTable(beh.config, entries), beh)
+            slices = dict(witness.slices)
+            slices[0, 0] |= frozenset(added)
+            assert not validate_extended_table(ExtendedTable(beh.config, slices), beh)
 
     def test_lost_coverage_detected(self):
         beh = all_true()
         witness = plf_feasible(beh).witness
-        entries = dict(witness.entries)
         # (0, 0 | 2, 2) is covered by every slice; kill it everywhere
-        for (c, d) in cd_values(beh.config):
-            entries[(0, 0, c, d, 2, 2)] = False
-        assert not validate_extended_table(ExtendedTable(beh.config, entries), beh)
+        slices = {cd: sl - {(0, 0, 2, 2)} for cd, sl in witness.slices.items()}
+        assert not validate_extended_table(ExtendedTable(beh.config, slices), beh)
 
     def test_config_mismatch_raises(self, hardy_beh):
         witness = plf_feasible(all_true()).witness
         with pytest.raises(ConfigMismatch):
             validate_extended_table(
-                ExtendedTable(NO_FRIENDS, witness.entries), hardy_beh)
+                ExtendedTable(NO_FRIENDS, witness.slices), hardy_beh)
 
 
 class TestRouteEquivalences:
@@ -232,7 +229,7 @@ class TestRouteEquivalences:
                 assert naive_depth1_satisfiable(problem) is table
                 for cd in cd_values(cfg):
                     sl = maximal_subtable(beh, *cd)
-                    assert slice_cells_valid(beh, *cd, [cell for cell, v in sl.cells.items() if v])
+                    assert slice_cells_valid(beh, *cd, sl.cells)
                 verdicts.append((settings, table))
         assert set(verdicts) == {(3, True), (3, False), (4, True), (4, False)}
 
@@ -299,18 +296,18 @@ def _reference_maximal_subtable(beh, c=None, d=None):
                                 f"but was possible at {other.setting}={s}",
                             ))
                             changed = True
-    return SliceTable(cd=(c, d), cells=cells, steps=tuple(steps))
+    return SliceTable(cd=(c, d), cells=frozenset(cell for cell, v in cells.items() if v),
+                      steps=tuple(steps))
 
 
 def _reference_plf_feasible(beh):
     cfg = beh.config
     slices = {cd: _reference_maximal_subtable(beh, *cd) for cd in cd_values(cfg)}
     uncovered = [cell for cell in cfg.cells()
-                 if beh.possible[cell] and not any(s.cells[cell] for s in slices.values())]
+                 if beh.possible[cell] and not any(cell in s.cells for s in slices.values())]
     if not uncovered:
-        entries = {(a, b, c, d, x, y): v
-                   for (c, d), sl in slices.items() for (a, b, x, y), v in sl.cells.items()}
-        return Verdict(True, ExtendedTable(cfg, entries), None)
+        return Verdict(True, ExtendedTable(cfg, {cd: sl.cells for cd, sl in slices.items()}),
+                       None)
     target = uncovered[0]
     branches = []
     for cd in cd_values(cfg):
@@ -347,12 +344,11 @@ def test_mask_deflation_matches_the_cell_dict_reference(friend_a, friend_b):
         for cd in cd_values(cfg):
             sl, ref = maximal_subtable(beh, *cd), _reference_maximal_subtable(beh, *cd)
             assert sl == ref
-            assert list(sl.cells.items()) == list(ref.cells.items())
             kinds.update(step.kind for step in sl.steps)
         verdict, ref = plf_feasible(beh), _reference_plf_feasible(beh)
         assert verdict == ref
         if verdict.feasible:
-            assert list(verdict.witness.entries.items()) == list(ref.witness.entries.items())
+            assert list(verdict.witness.slices.items()) == list(ref.witness.slices.items())
         else:
             assert verdict.trace.to_dict() == ref.trace.to_dict()
         verdicts.add(verdict.feasible)
@@ -402,54 +398,64 @@ def test_plf_feasible_reads_the_behavior_once():
 # -- the witness check against the key-set check it replaced -----------------
 
 
-def _reference_validate_extended_table(t, beh):
-    cfg = t.config
+def _reference_validate_extended_table(cfg, entries, beh):
+    """The check over a table of six-slot keys (a, b, c, d, x, y), as the
+    paper states it."""
     if cfg != beh.config:
         raise ConfigMismatch("extended table and behavior configs differ")
     cds = cd_values(cfg)
-    if set(t.entries) != {(a, b, c, d, x, y) for a, b, x, y in cfg.cells() for c, d in cds}:
+    if set(entries) != {(a, b, c, d, x, y) for a, b, x, y in cfg.cells() for c, d in cds}:
         return False
     for (c, d) in cds:
         for wing, record in zip(cfg.wings, (c, d)):
             for (outcome, setting), columns in wing.events.items():
-                margs = {any(t.entries[(a, b, c, d, x, y)] for a, b, x, y in col)
+                margs = {any(entries[(a, b, c, d, x, y)] for a, b, x, y in col)
                          for col in columns.values()}
                 if len(margs) > 1 or (True in margs and wing.friend
                                       and setting == wing.read and outcome != record):
                     return False
     # the OR over (c, d), as a behavior-shaped table
     marginal = {cell: False for cell in cfg.cells()}
-    for (a, b, c, d, x, y), v in t.entries.items():
+    for (a, b, c, d, x, y), v in entries.items():
         if v:
             marginal[(a, b, x, y)] = True
     return marginal == beh.possible
 
 
-def _mutants(rng, entries):
-    """The entries, then tables that differ from them in one way each."""
-    key = rng.choice(list(entries))
-    a, b, c, d, x, y = key
-    foreign = ("foreign", b, c, d, x, y)
+def _six_slot(t):
+    """The six-slot keys of a table's slices: each cell of the config under
+    each slice label, and each foreign cell a slice holds as one more key."""
+    cells = t.config.cells()
+    return {(a, b, c, d, x, y): (a, b, x, y) in sl for (c, d), sl in t.slices.items()
+            for a, b, x, y in [*cells, *(sl - set(cells))]}
+
+
+def _mutants(rng, cfg, slices):
+    """The slices, then tables that differ from them in one way each."""
+    cd = rng.choice(list(slices))
+    a, b, x, y = rng.choice(cfg.cells())
 
     def changed(drop, add):
-        out = {k: v for k, v in entries.items() if k != drop}
+        out = {k: v for k, v in slices.items() if k != drop}
         out.update(add)
         return out
 
-    yield entries
-    yield changed(key, {})  # a dropped key
-    yield changed(key, {foreign: entries[key]})  # a foreign key, same count
-    yield changed(key, {key[:5]: entries[key]})  # a short key, same count
-    yield changed(None, {foreign: False})  # an extra key
-    if type(a) is int and a in (0, 1):  # a bool in a key equals its int
-        yield changed(key, {(bool(a), b, c, d, x, y): entries[key]})
-    # truthy and falsy values that are not bools
-    yield {k: rng.choice((1, "x")) if v else rng.choice((0, "", None)) for k, v in entries.items()}
-    flipped = rng.sample(list(entries), rng.randint(1, min(3, len(entries))))
-    yield changed(None, {k: not entries[k] for k in flipped})  # flipped cells
-    # flipped cells, written as values that are not bools
-    yield changed(None, {k: rng.choice((0, None)) if entries[k] else rng.choice((1, "x"))
-                         for k in flipped})
+    yield slices
+    yield changed(cd, {})  # a dropped slice
+    yield changed(None, {("foreign", cd[1]): slices[cd]})  # an extra slice label
+    pairs = [(k, cell) for k in slices for cell in cfg.cells()]
+    flipped = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+    out = dict(slices)
+    for k, cell in flipped:
+        out[k] = out[k] ^ {cell}
+    yield out  # flipped cells
+    yield changed(None, {cd: slices[cd] | {("foreign", b, x, y)}})  # a foreign cell
+    # a bool in a label equals its int
+    for i, record in enumerate(cd):
+        if type(record) is int and record in (0, 1):
+            label = (*cd[:i], bool(record), *cd[i + 1:])
+            yield {label if k == cd else k: v for k, v in slices.items()}
+            break
 
 
 @pytest.mark.parametrize("friend_a, friend_b",
@@ -463,13 +469,12 @@ def test_witness_check_matches_the_key_set_reference(friend_a, friend_b):
         other = random_behavior(rng, cfg, p=rng.uniform(0.5, 1.0))
         verdict = plf_feasible(beh)
         # the witness, or the slice maxima that fail to cover the behavior
-        entries = verdict.witness.entries if verdict.feasible else {
-            (a, b, c, d, x, y): v for c, d in cd_values(cfg)
-            for (a, b, x, y), v in maximal_subtable(beh, c, d).cells.items()}
-        for mutant in _mutants(rng, entries):
+        slices = verdict.witness.slices if verdict.feasible else {
+            cd: maximal_subtable(beh, *cd).cells for cd in cd_values(cfg)}
+        for mutant in _mutants(rng, cfg, slices):
             t = ExtendedTable(cfg, mutant)
             for target in (beh, other):
-                expected = _reference_validate_extended_table(t, target)
+                expected = _reference_validate_extended_table(cfg, _six_slot(t), target)
                 assert validate_extended_table(t, target) is expected
                 verdicts.add(expected)
     assert verdicts == {True, False}
@@ -481,7 +486,7 @@ def test_witness_check_matches_the_key_set_reference(friend_a, friend_b):
 def test_checks_and_oracles_never_reach_the_cell_index():
     import oracles
     modules = (plfcheck, scenario, oracles)
-    index_names = {"cell_index", "CellIndex", "_mask", "_cells_of", "cell_mask", "off_record"}
+    index_names = {"cell_index", "CellIndex", "_cells_of", "cell_mask", "off_record"}
     assert index_names - {"CellIndex"} <= names_reached(modules, plf_feasible)
     deciders = (check_pns, validate_extended_table, oracles.naive_depth1_satisfiable,
                 oracles.set_satisfies, oracles.slice_cells_valid, oracles.enumerate_valid_slices,

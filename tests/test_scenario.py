@@ -26,6 +26,7 @@ from plfkit.scenario import (
     drop_impossibility,
     encode,
 )
+from plfkit.plfcheck import plf_feasible, validate_extended_table
 from conftest import random_behavior
 from oracles import eval_prop
 
@@ -108,6 +109,24 @@ class TestBehavior:
     def test_from_cells_rejects_cells_outside_domain(self, cell):
         with pytest.raises(ValueError, match="outside the domain"):
             Behavior.from_cells(BOTH_FRIENDS, list(BOTH_FRIENDS.cells()) + [cell])
+
+    def test_a_certified_decision_leaves_the_behavior_as_it_was(self, rng):
+        # `cell_mask` is built once from `possible`, so no decision may edit it
+        feasible = set()
+        for _ in range(30):
+            beh = random_behavior(rng, p=rng.uniform(0.5, 1.0))
+            before = dict(beh.possible)
+            check_pns(beh)
+            verdict, problem = plf_feasible(beh), encode(beh)
+            result = solve_depth1(problem)
+            assert verdict.feasible is isinstance(result, Model)
+            if verdict.feasible:
+                assert validate_extended_table(verdict.witness, beh)
+                assert recheck_model(problem, result.points)
+            feasible.add(verdict.feasible)
+            assert beh.possible == before
+            assert beh.cell_mask == Behavior(beh.config, before).cell_mask
+        assert feasible == {True, False}
 
 
 class TestCheckPns:
