@@ -20,7 +20,7 @@ as sets of cells, and never the masks.
 from __future__ import annotations
 
 from ._record import Record
-from .scenario import Behavior, ScenarioConfig
+from .scenario import Behavior, ScenarioConfig, _in_domain
 
 __all__ = [
     "RemovalStep",
@@ -118,8 +118,9 @@ def _cd_label(cfg: ScenarioConfig, c, d) -> str:
                      if wing.friend) or "no friends"
 
 
-def _cells_of(cells: tuple, mask: int) -> tuple:
-    """The cells whose bits `mask` sets, in config order."""
+def _cells_of(cells, mask: int) -> tuple:
+    """The entries of `cells` at the positions of `mask`'s bits, lowest first:
+    cells in config order, or a sweep's events in `events` order."""
     out = []
     while mask:
         low = mask & -mask
@@ -137,7 +138,12 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
     union of them all.  The slice is kept as a mask over the config's
     `cell_index`, starting from the behavior's `cell_mask`; the reading
     rule removes the config's `off_record` mask of each friend's record.
-    The mask is decoded to cells for the record.
+    One pass tests all of a wing's events at once with its `sweeps` entry:
+    the mask ORed with itself shifted by each fold shift marks each nonempty
+    column at its lowest cell, and the OR and the AND of that over the
+    spread shifts mark, at the base bits, the events possible at some and
+    at every setting of the other party.  The mask is decoded to cells for
+    the record.
     """
     cfg = beh.config
     index = cfg.cell_index
@@ -162,17 +168,22 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
             ))
 
     label = _cd_label(cfg, c, d)
-    alice, bob = cfg.wings
     changed = True
     while changed:
         changed = False
         # an event's possibility must not depend on the other party's setting;
         # Bob's events go first, which fixes the order of the trace
-        for wing, other in ((bob, alice), (alice, bob)):
-            for (outcome, setting), columns in index.events[wing.index].items():
+        for wing, other in (cfg.wings[::-1], cfg.wings):
+            fold_shifts, spread_shifts, base, events = index.sweeps[wing.index]
+            fold = mask
+            for k in fold_shifts:
+                fold |= mask >> k
+            some = every = fold
+            for k in spread_shifts:
+                some, every = some | fold >> k, every & fold >> k
+            # a wing's events have disjoint columns: removing one leaves the others' hits
+            for (outcome, setting), columns in _cells_of(events, some & ~every & base):
                 hits = [mask & col for col in columns.values()]
-                if all(hits) or not any(hits):
-                    continue
                 dead = next(s for s, hit in zip(columns, hits) if not hit)
                 for s, killed in zip(columns, hits):
                     if killed:
@@ -233,7 +244,9 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
     cfg = t.config
     if cfg != beh.config:
         raise ConfigMismatch("extended table and behavior configs differ")
-    if t.slices.keys() != set(cd_values(cfg)):
+    # the labels are the records with their types, so that True does not pass for 1
+    labels = {cd: cd for cd in cd_values(cfg)}
+    if t.slices.keys() != labels.keys() or not all(_in_domain(labels, cd) for cd in t.slices):
         return False
 
     covered = set()

@@ -53,14 +53,16 @@ class CellIndex(Record):
     """The cells of a config as the bits of an int, for the table route.
 
     A set of cells is the sum of their bits; cell i of `cells` has the bit
-    1 << i, so reading a mask's bits from the lowest gives config order.
-    `off_record` holds, per friend and record, the cells its reading rule
-    removes, so that no slice sums them again.
+    1 << i, so reading a mask's bits from the lowest gives config order
+    (i = ((ia*nb + ib)*nx + ix)*ny + iy at the labels' positions).  `sweeps`
+    holds what `plfcheck.maximal_subtable` shifts each wing's events by, and
+    `off_record`, per friend and record, the cells its reading rule removes,
+    so that no slice sums them again.
     """
 
     cells: tuple  # the cells in config order
     bit: dict  # cell -> its bit, in config order
-    events: tuple  # per wing, its `events` with each column as the mask of its cells
+    sweeps: tuple  # per wing, (fold shifts, spread shifts, base mask, base -> (event, columns))
     off_record: tuple  # per wing, record -> its read setting's cells of the other outcomes
 
 
@@ -120,12 +122,22 @@ class ScenarioConfig(Record):
         """The `CellIndex` of this config, built once per config."""
         cells = tuple(self.cells())
         bit = {cell: 1 << i for i, cell in enumerate(cells)}
-        events = tuple({event: {s: sum(map(bit.__getitem__, col)) for s, col in columns.items()}
-                        for event, columns in wing.events.items()} for wing in self.wings)
-        return CellIndex(cells, bit, events, tuple(
-            {r: sum(col for o in wing.outcomes if o != r for col in ev[o, wing.read].values())
-             for r in wing.outcomes} if wing.friend else {}
-            for wing, ev in zip(self.wings, events)))
+        nb, nx, ny = len(self.b_values), len(self.x_values), len(self.y_values)
+        stride = (nb * nx * ny, nx * ny, ny, 1)  # of the entries a, b, x, y of a cell
+        sweeps = []
+        for wing, other in zip(self.wings, self.wings[::-1]):
+            fold = tuple(k * stride[other.index] for k in range(1, len(other.outcomes)))
+            spread = tuple(k * stride[other.index + 2] for k in range(1, len(other.settings)))
+            column = sum(1 << k for k in (0, *fold))  # the cells of a column from bit 0
+            events = {base: ((o, z), {s: column << (base + k)
+                                      for s, k in zip(other.settings, (0, *spread))})
+                      for i, o in enumerate(wing.outcomes) for j, z in enumerate(wing.settings)
+                      for base in [i * stride[wing.index] + j * stride[wing.index + 2]]}
+            sweeps.append((fold, spread, sum(1 << base for base in events), events))
+        return CellIndex(cells, bit, tuple(sweeps), tuple(
+            {r: sum(m for (o, z), cols in events.values() if z == wing.read and o != r
+                    for m in cols.values()) for r in wing.outcomes} if wing.friend else {}
+            for wing, (*_, events) in zip(self.wings, sweeps)))
 
 
 class Behavior(Record):

@@ -105,6 +105,17 @@ class TestPlfFeasible:
         assert any(s.kind == "reading" for s in branches[(0, 0)])
         assert any(s.kind == "reading" for s in branches[(1, 1)])
 
+    def test_all_possible_8x8_feasible_with_a_valid_witness(self):
+        # 4,096 cells: every mask spans many machine words, so the sweep's shifts
+        # carry bits across word boundaries
+        labels = tuple(range(8))
+        cfg = ScenarioConfig(x_values=labels, y_values=labels, a_values=labels,
+                             b_values=labels, friend_a=True, friend_b=True, read_x=0, read_y=0)
+        beh = all_true(cfg)
+        verdict = plf_feasible(beh)
+        assert verdict.feasible and len(verdict.witness.slices) == 64
+        assert validate_extended_table(verdict.witness, beh)
+
     def test_all_possible_feasible(self):
         verdict = plf_feasible(all_true())
         assert verdict.feasible
@@ -196,6 +207,15 @@ class TestValidateExtendedTable:
         witness = plf_feasible(beh).witness
         # (0, 0 | 2, 2) is covered by every slice; kill it everywhere
         slices = {cd: sl - {(0, 0, 2, 2)} for cd, sl in witness.slices.items()}
+        assert not validate_extended_table(ExtendedTable(beh.config, slices), beh)
+
+    @pytest.mark.parametrize("c, d", [(True, 0), (0, False)])
+    def test_bool_record_in_a_label_refused(self, c, d):
+        # True == 1 and False == 0, but maximal_subtable refuses them as records
+        beh = all_true()
+        witness = plf_feasible(beh).witness
+        slices = {(c, d) if cd == (c, d) else cd: sl for cd, sl in witness.slices.items()}
+        assert slices == witness.slices and validate_extended_table(witness, beh)
         assert not validate_extended_table(ExtendedTable(beh.config, slices), beh)
 
     def test_config_mismatch_raises(self, hardy_beh):
@@ -324,11 +344,12 @@ def _labels(rng, n, prefix):
     return tuple(range(n)) if rng.random() < 0.5 else tuple(f"{prefix}{i}" for i in range(n))
 
 
-def _random_config(rng, friend_a, friend_b):
-    x, y = _labels(rng, rng.randint(1, 3), "x"), _labels(rng, rng.randint(1, 3), "y")
+def _random_config(rng, friend_a, friend_b, most=3):
+    """Each party's settings and outcomes number 1 to `most`, each drawn alone."""
+    x, y = _labels(rng, rng.randint(1, most), "x"), _labels(rng, rng.randint(1, most), "y")
     return ScenarioConfig(x_values=x, y_values=y,
-                          a_values=_labels(rng, rng.randint(1, 3), "a"),
-                          b_values=_labels(rng, rng.randint(1, 3), "b"),
+                          a_values=_labels(rng, rng.randint(1, most), "a"),
+                          b_values=_labels(rng, rng.randint(1, most), "b"),
                           friend_a=friend_a, friend_b=friend_b,
                           read_x=rng.choice(x), read_y=rng.choice(y))
 
@@ -354,6 +375,49 @@ def test_mask_deflation_matches_the_cell_dict_reference(friend_a, friend_b):
         verdicts.add(verdict.feasible)
     assert verdicts == {True, False}
     assert kinds == ({"reading", "marginal"} if friend_a or friend_b else {"marginal"})
+
+
+@pytest.mark.parametrize("friend_a, friend_b",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_sweep_deflation_matches_the_cell_dict_reference_at_wider_shapes(friend_a, friend_b):
+    # up to 4 settings and 4 outcomes a party: masks of up to 256 cells, and
+    # shapes where one party's strides differ from the other's
+    rng = random.Random(3400 + 2 * friend_a + friend_b)
+    verdicts, widest = set(), 0
+    for _ in range(80):
+        cfg = _random_config(rng, friend_a, friend_b, most=4)
+        beh = random_behavior(rng, cfg, p=rng.uniform(0.3, 1.0))
+        for cd in cd_values(cfg):
+            assert maximal_subtable(beh, *cd) == _reference_maximal_subtable(beh, *cd)
+        verdict, ref = plf_feasible(beh), _reference_plf_feasible(beh)
+        assert verdict == ref
+        if not verdict.feasible:
+            assert verdict.trace.to_dict() == ref.trace.to_dict()
+        verdicts.add(verdict.feasible)
+        widest = max(widest, len(cfg.cells()))
+    assert verdicts == {True, False} and widest > 81
+
+
+@pytest.mark.parametrize("friend_a, friend_b",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_sweep_tables_are_the_event_columns_shifted_onto_their_base_bits(friend_a, friend_b):
+    rng = random.Random(3500 + 2 * friend_a + friend_b)
+    for _ in range(40):
+        cfg = _random_config(rng, friend_a, friend_b, most=4)
+        index = cfg.cell_index
+        for wing in cfg.wings:
+            fold, spread, base, events = index.sweeps[wing.index]
+            expected = {}
+            for event, columns in wing.events.items():
+                masks = {s: sum(index.bit[cell] for cell in col) for s, col in columns.items()}
+                first = next(iter(masks.values()))
+                low = (first & -first).bit_length() - 1
+                expected[low] = (event, masks)
+                # the shifts take the base bit to every cell of each column, and only there
+                for k, col in zip((0, *spread), masks.values(), strict=True):
+                    assert sum(1 << (low + f + k) for f in (0, *fold)) == col
+            assert list(events.items()) == list(expected.items())
+            assert base == sum(1 << low for low in expected)
 
 
 @pytest.mark.parametrize("friend_a, friend_b",
@@ -404,7 +468,9 @@ def _reference_validate_extended_table(cfg, entries, beh):
     if cfg != beh.config:
         raise ConfigMismatch("extended table and behavior configs differ")
     cds = cd_values(cfg)
-    if set(entries) != {(a, b, c, d, x, y) for a, b, x, y in cfg.cells() for c, d in cds}:
+    keys = {(a, b, c, d, x, y) for a, b, x, y in cfg.cells() for c, d in cds}
+    # each key with its types, so that a bool record does not pass for 0 or 1
+    if {(k, *map(type, k)) for k in entries} != {(k, *map(type, k)) for k in keys}:
         return False
     for (c, d) in cds:
         for wing, record in zip(cfg.wings, (c, d)):
@@ -450,7 +516,7 @@ def _mutants(rng, cfg, slices):
         out[k] = out[k] ^ {cell}
     yield out  # flipped cells
     yield changed(None, {cd: slices[cd] | {("foreign", b, x, y)}})  # a foreign cell
-    # a bool in a label equals its int
+    # a bool in a label, which equals its int but is no record
     for i, record in enumerate(cd):
         if type(record) is int and record in (0, 1):
             label = (*cd[:i], bool(record), *cd[i + 1:])
@@ -486,7 +552,7 @@ def test_witness_check_matches_the_key_set_reference(friend_a, friend_b):
 def test_checks_and_oracles_never_reach_the_cell_index():
     import oracles
     modules = (plfcheck, scenario, oracles)
-    index_names = {"cell_index", "CellIndex", "_cells_of", "cell_mask", "off_record"}
+    index_names = {"cell_index", "CellIndex", "_cells_of", "cell_mask", "off_record", "sweeps"}
     assert index_names - {"CellIndex"} <= names_reached(modules, plf_feasible)
     deciders = (check_pns, validate_extended_table, oracles.naive_depth1_satisfiable,
                 oracles.set_satisfies, oracles.slice_cells_valid, oracles.enumerate_valid_slices,
