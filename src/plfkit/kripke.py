@@ -14,10 +14,10 @@ models.  A formula may hold one And node in many places (encode shares
 event chains across clauses), so each distinct And node, told apart by
 id(), is labelled once per model: once per call of evaluate or valid, once
 per recheck_model over all its clauses.  recheck_model labels each clause's
-bodies and applies the clause's <> or [] step at w0 through the helpers
-the evaluator uses, so it builds no clause_formula; that function remains
+bodies and applies the clause's <> or [] step at w0 alone, one AND with w0's
+successor mask, so it builds no clause_formula; that function remains
 the one spelling of a clause as a modal formula.  Nor does it build a
-KripkeModel: it reads the masks those helpers use straight from the points.
+KripkeModel: it reads the masks the evaluator uses straight from the points.
 
 A depth-1 problem is a conjunction of constraints evaluated at a single
 reference world w0, each of one of the shapes
@@ -165,8 +165,9 @@ def _extension(m: KripkeModel, f: Formula, memo: dict) -> int:
 
     memo maps id() of each And node labelled so far to its extension, so a
     node shared by many formulas is labelled once; the caller keeps every
-    node it holds alive for as long as the memo lives.  One frame per
-    nesting level, so any formula parse accepts is labelled.
+    node it holds alive for as long as the memo lives.  An And reads an Atom
+    or labelled child in place; other nodes take one frame per nesting level,
+    so any formula parse accepts is labelled.
     """
     t = type(f)
     if t is Atom:
@@ -175,7 +176,14 @@ def _extension(m: KripkeModel, f: Formula, memo: dict) -> int:
         key = id(f)
         ext = memo.get(key)
         if ext is None:
-            ext = memo[key] = _extension(m, f.left, memo) & _extension(m, f.right, memo)
+            left, right = f.left, f.right
+            ext = (m._masks.get((left.variable, left.value), 0) if type(left) is Atom
+                   else memo.get(id(left)))
+            if ext is None:
+                ext = _extension(m, left, memo)
+            r = (m._masks.get((right.variable, right.value), 0) if type(right) is Atom
+                 else memo.get(id(right)))
+            ext = memo[key] = ext & (_extension(m, right, memo) if r is None else r)
         return ext
     if t is Diamond:
         return _diamond(m, _extension(m, f.child, memo))
@@ -479,10 +487,13 @@ def solve_depth1(p: Depth1Problem) -> SatResult:
     return Model(frozenset(_points(p, current)))
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # the digits 0 and 1 to the flags compress reads
+
+
 def _points(p: Depth1Problem, mask: int) -> tuple:
-    """The points of the grid bits set in mask, in grid order."""
+    """The points of the grid bits set in mask, in grid order, in one C-level pass."""
     # bin() lists the bits high to low, so the reversed digits are bits 0, 1, ...
-    return tuple(itertools.compress(p._grid, map("1".__eq__, bin(mask)[:1:-1])))
+    return tuple(itertools.compress(p._grid, bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
 # ---------------------------------------------------------------------------
@@ -508,23 +519,26 @@ def points_to_model(p: Depth1Problem, points) -> KripkeModel:
 
 
 def _clause_truths(m, constraints):
-    """Each clause's truth at w0 of m, in order: the modal step of its
-    clause_formula applied to the extensions of its bodies, without building
-    that formula.  m is a KripkeModel or holds the same masks.  One And-node
-    memo serves every clause, whose bodies the caller keeps alive."""
+    """Each clause's truth at w0 of m, in order, without building its
+    clause_formula: with succ w0's successor mask, read once, <>phi is
+    ext(phi) & succ != 0 and []phi is not succ & ~ext(phi), the one-world
+    case of _diamond and _box (a dead-end w0 makes <> false, [] true).  m is a
+    KripkeModel or holds the same masks.  One And-node memo serves every
+    clause, whose bodies the caller keeps alive."""
     w0, memo = m._bit["w0"], {}
+    succ = next((s for b, s in m._succ if b == w0), 0)
     for c in constraints:
         # the clause kinds are disjoint; Conditionals are the most numerous
         if isinstance(c, Conditional):
             # <>antecedent -> <>consequent
-            yield (not _diamond(m, _extension(m, c.antecedent, memo)) & w0
-                   or _diamond(m, _extension(m, c.consequent, memo)) & w0 != 0)
+            yield (not _extension(m, c.antecedent, memo) & succ
+                   or _extension(m, c.consequent, memo) & succ != 0)
         elif isinstance(c, Required):
-            yield _diamond(m, _extension(m, c.body, memo)) & w0 != 0
+            yield _extension(m, c.body, memo) & succ != 0
         elif isinstance(c, Forbidden):
-            yield not _diamond(m, _extension(m, c.body, memo)) & w0
+            yield not _extension(m, c.body, memo) & succ
         elif isinstance(c, MustAll):
-            yield _box(m, _extension(m, c.body, memo)) & w0 != 0
+            yield not succ & ~_extension(m, c.body, memo)
         else:
             raise TypeError(f"not a clause: {c!r}")
 

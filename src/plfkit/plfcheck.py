@@ -19,6 +19,9 @@ as sets of cells, and never the masks.
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import itemgetter
+
 from ._record import Record
 from .scenario import Behavior, ScenarioConfig, _in_domain
 
@@ -35,6 +38,8 @@ __all__ = [
     "cd_values",
     "trace_to_text",
 ]
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # the digits 0 and 1 to the flags compress reads
 
 
 class ConfigMismatch(ValueError):
@@ -142,8 +147,8 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
     the mask ORed with itself shifted by each fold shift marks each nonempty
     column at its lowest cell, and the OR and the AND of that over the
     spread shifts mark, at the base bits, the events possible at some and
-    at every setting of the other party.  The mask is decoded to cells for
-    the record.
+    at every setting of the other party.  Removed cells are decoded bit by
+    bit for the record, the final mask in one C-level pass.
     """
     cfg = beh.config
     index = cfg.cell_index
@@ -196,8 +201,8 @@ def maximal_subtable(beh: Behavior, c=None, d=None) -> SliceTable:
                         ))
                 changed = True
 
-    return SliceTable((c, d), frozenset(cell for cell, b in index.bit.items() if mask & b),
-                      tuple(steps))
+    cells = compress(index.cells, bin(mask)[:1:-1].encode().translate(_FLAGS))
+    return SliceTable((c, d), frozenset(cells), tuple(steps))
 
 
 def plf_feasible(beh: Behavior) -> Verdict:
@@ -213,8 +218,8 @@ def plf_feasible(beh: Behavior) -> Verdict:
         return Verdict(True, ExtendedTable(cfg, {cd: sl.cells for cd, sl in slices.items()}), None)
 
     # the target is possible and in no slice, so every slice's log removes it
-    target = next(cell for cell in _cells_of(cfg.cell_index.cells, beh.cell_mask)
-                  if cell not in covered)
+    possible = compress(cfg.cell_index.cells, bin(beh.cell_mask)[:1:-1].encode().translate(_FLAGS))
+    target = next(cell for cell in possible if cell not in covered)
     branches = tuple(
         (cd, sl.steps[:next(i for i, s in enumerate(sl.steps) if target in s.cells) + 1])
         for cd, sl in slices.items())
@@ -262,4 +267,9 @@ def validate_extended_table(t: ExtendedTable, beh: Behavior) -> bool:
                     return False
 
     # a Behavior has a possible cell in every context, so coverage gives the table one too
-    return covered == {cell for cell, v in beh.possible.items() if v}
+    if covered != {cell for cell, v in beh.possible.items() if v}:
+        return False
+    # each entry of every slice's cells needs a type of its labels too: True and 1.0 equal 1
+    cells = [*chain.from_iterable(t.slices.values())]
+    return all({*map(type, map(itemgetter(i), cells))} <= {*map(type, labels)}
+               for i, labels in enumerate((cfg.a_values, cfg.b_values, cfg.x_values, cfg.y_values)))

@@ -53,15 +53,14 @@ class CellIndex(Record):
     """The cells of a config as the bits of an int, for the table route.
 
     A set of cells is the sum of their bits; cell i of `cells` has the bit
-    1 << i, so reading a mask's bits from the lowest gives config order
-    (i = ((ia*nb + ib)*nx + ix)*ny + iy at the labels' positions).  `sweeps`
+    1 << i (i = ((ia*nb + ib)*nx + ix)*ny + iy at the labels' positions), so
+    masks are built and read by position, lowest bit first in config order.  `sweeps`
     holds what `plfcheck.maximal_subtable` shifts each wing's events by, and
     `off_record`, per friend and record, the cells its reading rule removes,
     so that no slice sums them again.
     """
 
     cells: tuple  # the cells in config order
-    bit: dict  # cell -> its bit, in config order
     sweeps: tuple  # per wing, (fold shifts, spread shifts, base mask, base -> (event, columns))
     off_record: tuple  # per wing, record -> its read setting's cells of the other outcomes
 
@@ -121,7 +120,6 @@ class ScenarioConfig(Record):
     def cell_index(self) -> CellIndex:
         """The `CellIndex` of this config, built once per config."""
         cells = tuple(self.cells())
-        bit = {cell: 1 << i for i, cell in enumerate(cells)}
         nb, nx, ny = len(self.b_values), len(self.x_values), len(self.y_values)
         stride = (nb * nx * ny, nx * ny, ny, 1)  # of the entries a, b, x, y of a cell
         sweeps = []
@@ -134,10 +132,13 @@ class ScenarioConfig(Record):
                       for i, o in enumerate(wing.outcomes) for j, z in enumerate(wing.settings)
                       for base in [i * stride[wing.index] + j * stride[wing.index + 2]]}
             sweeps.append((fold, spread, sum(1 << base for base in events), events))
-        return CellIndex(cells, bit, tuple(sweeps), tuple(
+        return CellIndex(cells, tuple(sweeps), tuple(
             {r: sum(m for (o, z), cols in events.values() if z == wing.read and o != r
                     for m in cols.values()) for r in wing.outcomes} if wing.friend else {}
             for wing, (*_, events) in zip(self.wings, sweeps)))
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # the bytes 0 and 1 to the digits int(..., 2) reads
 
 
 class Behavior(Record):
@@ -167,9 +168,9 @@ class Behavior(Record):
     @cached_property
     def cell_mask(self) -> int:
         """The possible cells as a mask over the config's `cell_index`, built
-        once per behavior."""
-        bit = self.config.cell_index.bit
-        return sum(itertools.compress(bit.values(), map(self.possible.__getitem__, bit)))
+        once per behavior: one byte per cell, last first, read as binary digits."""
+        cells = self.config.cell_index.cells
+        return int(bytes(map(self.possible.__getitem__, reversed(cells))).translate(_DIGITS), 2)
 
     @staticmethod
     def from_cells(config: ScenarioConfig, true_cells) -> "Behavior":

@@ -394,6 +394,23 @@ def test_points_are_the_reference_grid_in_its_order():
             assert type(pt) is tuple and all(type(pair) is tuple for pair in pt)
 
 
+# mask widths on both sides of the interpreter's 30-bit limbs and a 64-bit word
+_WIDTHS = (0, 1, 29, 30, 31, 60, 61, 64, 729, 4096)
+
+
+def test_points_decode_a_mask_as_its_bits_read_one_by_one():
+    # 4,096 points: every width's mask selects from the front of the grid
+    prob = Depth1Problem({"u": tuple(map(str, range(64))), "v": tuple(map(str, range(64)))}, ())
+    grid = _grid(prob)
+    rng = random.Random(35)
+    for width in _WIDTHS:
+        top = 1 << width >> 1  # 0 at width 0: the empty mask
+        for mask in (0, (1 << width) - 1, top, top | rng.getrandbits(width)):
+            expected = tuple(pt for i, pt in enumerate(grid) if mask >> i & 1)
+            assert kripke._points(prob, mask) == expected
+    assert kripke._points(prob, (1 << 4096) - 1) == tuple(grid)
+
+
 def _random_prop(rng, variables, depth=2):
     if depth == 0 or rng.random() < 0.4:
         return Atom(rng.choice(variables), rng.choice(("0", "1")))
@@ -881,6 +898,46 @@ def test_a_certified_decision_leaves_no_reference_cycle(which, hardy_beh):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@st.composite
+def _w0_models(draw):
+    """A `_models` model with a world w0 that sees a drawn set of worlds, none
+    (a dead end), itself or others with successors of their own, and holds
+    drawn atoms.  With int-named worlds drawn, 0 holds the first bit (an int
+    hashes to itself and is put in first), so w0 is not the first world."""
+    m = draw(_models)
+    ints = list(range(draw(st.integers(0, 2))))
+    seen = draw(st.sets(st.sampled_from([*ints, *_world_names, "w0"])))
+    at_w0 = draw(st.sets(st.sampled_from(_atom_pool)))
+    valuation = {a: m.valuation.get(a, frozenset()) | ({"w0"} if a in at_w0 else set())
+                 for a in _atom_pool}
+    return KripkeModel(frozenset([*ints, *m.worlds, "w0"]),
+                       m.relation | {("w0", v) for v in seen}, valuation)
+
+
+@st.composite
+def _shared_bodies(draw):
+    """Drawn bodies and bodies that share an And of two of them, whose left
+    child is a Not, never an Atom."""
+    parts = draw(st.lists(_prop_formulas, min_size=2, max_size=4))
+    shared = And(Not(parts[0]), parts[1])
+    return [*parts, shared, And(parts[-1], shared), And(shared, parts[0]),
+            Or(shared, Not(shared)), And(Atom("P"), shared)]
+
+
+@settings(max_examples=300)
+@given(_w0_models(), _shared_bodies())
+def test_clause_truths_take_each_modal_step_at_w0_alone(m, bodies):
+    clauses = [kind(body) for body in bodies for kind in (MustAll, Forbidden, Required)]
+    clauses += [Conditional(f, g) for f, g in zip(bodies, bodies[1:] + bodies[:1])]
+    clauses += [Conditional(g, f) for f, g in zip(bodies, bodies[1:] + bodies[:1])]
+    assert list(kripke._clause_truths(m, clauses)) == [
+        evaluate(m, "w0", clause_formula(c)) for c in clauses]
+    # the bodies' shared And nodes in one formula, at every world
+    for f in (conj(bodies), conj(Diamond(body) for body in bodies)):
+        for w in m.worlds:
+            assert evaluate(m, w, f) == naive_evaluate(m, w, f)
 
 
 # -- the two walks stay independent ------------------------------------------

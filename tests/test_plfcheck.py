@@ -1,3 +1,4 @@
+import enum
 import random
 
 import pytest
@@ -218,6 +219,27 @@ class TestValidateExtendedTable:
         assert slices == witness.slices and validate_extended_table(witness, beh)
         assert not validate_extended_table(ExtendedTable(beh.config, slices), beh)
 
+    @pytest.mark.parametrize("wrong", [True, 1.0])
+    def test_wrong_typed_cell_entry_refused(self, wrong):
+        # (1, 0, 2, 2) is in every slice; one slice holds an equal cell instead
+        beh = all_true()
+        witness = plf_feasible(beh).witness
+        slices = dict(witness.slices)
+        slices[1, 1] = slices[1, 1] - {(1, 0, 2, 2)} | {(wrong, 0, 2, 2)}
+        assert slices == witness.slices
+        assert not validate_extended_table(ExtendedTable(beh.config, slices), beh)
+
+    def test_int_subclass_labels_validate(self):
+        # a label may be an int subclass; a plain int equal to it is refused
+        labels = tuple(enum.IntEnum("Setting", "P Q"))
+        cfg = ScenarioConfig(x_values=labels, y_values=labels, friend_a=True, friend_b=True,
+                             read_x=labels[0], read_y=labels[0])
+        beh = all_true(cfg)
+        witness = plf_feasible(beh).witness
+        assert validate_extended_table(witness, beh)
+        slices = {cd: {(a, b, int(x), y) for a, b, x, y in sl} for cd, sl in witness.slices.items()}
+        assert not validate_extended_table(ExtendedTable(cfg, slices), beh)
+
     def test_config_mismatch_raises(self, hardy_beh):
         witness = plf_feasible(all_true()).witness
         with pytest.raises(ConfigMismatch):
@@ -405,11 +427,12 @@ def test_sweep_tables_are_the_event_columns_shifted_onto_their_base_bits(friend_
     for _ in range(40):
         cfg = _random_config(rng, friend_a, friend_b, most=4)
         index = cfg.cell_index
+        bit = {cell: 1 << i for i, cell in enumerate(cfg.cells())}
         for wing in cfg.wings:
             fold, spread, base, events = index.sweeps[wing.index]
             expected = {}
             for event, columns in wing.events.items():
-                masks = {s: sum(index.bit[cell] for cell in col) for s, col in columns.items()}
+                masks = {s: sum(bit[cell] for cell in col) for s, col in columns.items()}
                 first = next(iter(masks.values()))
                 low = (first & -first).bit_length() - 1
                 expected[low] = (event, masks)
@@ -427,6 +450,7 @@ def test_off_record_masks_are_the_read_setting_cells_of_the_other_outcomes(frien
     for _ in range(100):
         cfg = _random_config(rng, friend_a, friend_b)
         index = cfg.cell_index
+        bit = {cell: 1 << i for i, cell in enumerate(cfg.cells())}
         for wing, off_record in zip(cfg.wings, index.off_record):
             if not wing.friend:
                 assert off_record == {}
@@ -434,8 +458,45 @@ def test_off_record_masks_are_the_read_setting_cells_of_the_other_outcomes(frien
             i = wing.index
             assert list(off_record) == list(wing.outcomes)
             for record, mask in off_record.items():
-                assert mask == sum(index.bit[cell] for cell in cfg.cells()
+                assert mask == sum(bit[cell] for cell in cfg.cells()
                                    if cell[i + 2] == wing.read and cell[i] != record)
+
+
+# (a, b) outcome counts whose products are mask widths on both sides of the
+# interpreter's 30-bit limbs and a 64-bit word
+_WIDTH_SHAPES = ((1, 1), (29, 1), (6, 5), (31, 1), (10, 6), (61, 1), (8, 8), (27, 27), (64, 64))
+
+
+def test_slice_read_decodes_a_mask_as_its_bits_read_one_by_one():
+    # one setting each: a slice is the possible cells whose A matches the record
+    rng, empty = random.Random(3501), 0
+    for na, nb in _WIDTH_SHAPES:
+        cfg = ScenarioConfig(x_values=(0,), y_values=(0,), a_values=tuple(range(na)),
+                             b_values=tuple(range(nb)), friend_a=True, read_x=0)
+        cells = cfg.cells()
+        width = len(cells)
+        top = 1 << width - 1
+        for mask in ((1 << width) - 1, top, top | rng.getrandbits(width)):
+            beh = Behavior.from_cells(cfg, [cell for i, cell in enumerate(cells) if mask >> i & 1])
+            assert beh.cell_mask == mask
+            for c in {0, na - 1}:
+                keep = mask & sum(1 << i for i, cell in enumerate(cells) if cell[0] == c)
+                expected = frozenset(cell for i, cell in enumerate(cells) if keep >> i & 1)
+                assert maximal_subtable(beh, c).cells == expected
+                empty += not expected
+    # the lone top cell is off the first record, so that slice is empty
+    assert empty >= len(_WIDTH_SHAPES) - 1
+
+
+def test_all_possible_8x8_slices_are_the_cells_their_logs_leave():
+    labels = tuple(range(8))
+    cfg = ScenarioConfig(x_values=labels, y_values=labels, a_values=labels, b_values=labels,
+                         friend_a=True, friend_b=True, read_x=0, read_y=0)
+    beh = all_true(cfg)
+    for cd in cd_values(cfg):
+        sl = maximal_subtable(beh, *cd)
+        removed = {cell for step in sl.steps for cell in step.cells}
+        assert sl.cells == frozenset(cell for cell in cfg.cells() if cell not in removed)
 
 
 class _CountingReads(dict):
@@ -490,10 +551,13 @@ def _reference_validate_extended_table(cfg, entries, beh):
 
 def _six_slot(t):
     """The six-slot keys of a table's slices: each cell of the config under
-    each slice label, and each foreign cell a slice holds as one more key."""
-    cells = t.config.cells()
+    each slice label, and each foreign cell a slice holds as one more key.
+    A cell equal to a config cell with an entry of another type is foreign
+    too; foreign cells go first, so that such a key keeps its types."""
+    domain = {cell: cell for cell in t.config.cells()}
     return {(a, b, c, d, x, y): (a, b, x, y) in sl for (c, d), sl in t.slices.items()
-            for a, b, x, y in [*cells, *(sl - set(cells))]}
+            for a, b, x, y in [*(cell for cell in sl if not scenario._in_domain(domain, cell)),
+                               *domain]}
 
 
 def _mutants(rng, cfg, slices):
@@ -522,6 +586,19 @@ def _mutants(rng, cfg, slices):
             label = (*cd[:i], bool(record), *cd[i + 1:])
             yield {label if k == cd else k: v for k, v in slices.items()}
             break
+    # a cell entry that equals its label but is a bool or a float, in place of
+    # the cell, which other slices may hold as it is
+    held = [k for k in slices if slices[k]]
+    if held:
+        k = rng.choice(held)
+        cell = rng.choice(sorted(slices[k], key=cfg.cells().index))
+        for i, entry in enumerate(cell):
+            if type(entry) is int:
+                for wrong in ({0: False, 1: True}.get(entry), float(entry)):
+                    if wrong is not None:
+                        mutated = slices[k] - {cell} | {(*cell[:i], wrong, *cell[i + 1:])}
+                        yield changed(None, {k: mutated})
+                break
 
 
 @pytest.mark.parametrize("friend_a, friend_b",
