@@ -17,7 +17,9 @@ per recheck_model over all its clauses.  recheck_model labels each clause's
 bodies and applies the clause's <> or [] step at w0 alone, one AND with w0's
 successor mask, so it builds no clause_formula; that function remains
 the one spelling of a clause as a modal formula.  Nor does it build a
-KripkeModel: it reads the masks the evaluator uses straight from the points.
+KripkeModel: it reads the masks the evaluator uses straight from the points,
+each (variable, value) mask from one byte row over the points, read once as
+binary digits, so the masks take time linear in the points.
 
 A depth-1 problem is a conjunction of constraints evaluated at a single
 reference world w0, each of one of the shapes
@@ -488,6 +490,7 @@ def solve_depth1(p: Depth1Problem) -> SatResult:
 
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # the digits 0 and 1 to the flags compress reads
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # the bytes 0 and 1 to the digits int(..., 2) reads
 
 
 def _points(p: Depth1Problem, mask: int) -> tuple:
@@ -509,12 +512,14 @@ def points_to_model(p: Depth1Problem, points) -> KripkeModel:
     w0 itself carries the all-false valuation; no constraint of the fragment
     says anything about w0's own atoms.
     """
-    names, valuation = [], {}
+    names, worlds_of = [], {}
     for i, pt in enumerate(sorted(points), 1):
         name = f"w{i}"
         names.append(name)
-        for var, val in pt:
-            valuation.setdefault(Atom(var, val), []).append(name)
+        for pair in pt:
+            worlds_of.setdefault(pair, []).append(name)
+    # one Atom per (variable, value), however many points hold it
+    valuation = {Atom(var, val): ws for (var, val), ws in worlds_of.items()}
     return KripkeModel(["w0", *names], [("w0", name) for name in names], valuation)
 
 
@@ -546,12 +551,22 @@ def _clause_truths(m, constraints):
 def recheck_model(p: Depth1Problem, points) -> bool:
     """Independently verify a solve_depth1 model with the modal evaluator:
     every clause of p holds at w0 of points_to_model(p, points), whose masks
-    are read off the points: w0 is bit 0, the points bits 1, 2, ... as given."""
-    masks, bit = {}, 1
-    for pt in points:
-        bit <<= 1
+    are read off the points: w0 is bit 0, the points bits 1, 2, ... as given.
+
+    points is any iterable, read once.  Each (variable, value) pair gets one
+    byte row, byte k set for the k-th point, read once as binary digits, so
+    the masks take time linear in the points."""
+    points = tuple(points)
+    n = len(points) + 1
+    rows = {}
+    for k, pt in enumerate(points, 1):
         for pair in pt:
-            masks[pair] = masks.get(pair, 0) | bit
-    full = (bit << 1) - 1
+            row = rows.get(pair)
+            if row is None:
+                row = rows[pair] = bytearray(n)
+            row[k] = 1
+    # int() reads the high digit first, so the reversed row is bits 0, 1, ...
+    masks = {pair: int(row[::-1].translate(_DIGITS), 2) for pair, row in rows.items()}
+    full = (1 << n) - 1
     m = SimpleNamespace(_bit={"w0": 1}, _full=full, _masks=masks, _succ=((1, full ^ 1),))
     return all(_clause_truths(m, p.constraints))

@@ -859,6 +859,95 @@ def test_recheck_reads_fresh_equal_copies_of_the_points(size, seed, hardy_beh):
     assert verdicts[0] and not verdicts[-1]
 
 
+def _seeded_problems(seed, count):
+    """Encoded problems of seeded random behaviors, 1-4 settings by 1-3
+    outcomes, with random friends and read settings, each with the rng."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        xs, labels = tuple(range(rng.randint(1, 4))), tuple(range(rng.randint(1, 3)))
+        cfg = ScenarioConfig(x_values=xs, y_values=xs, a_values=labels, b_values=labels,
+                             friend_a=rng.random() < 0.5, friend_b=rng.random() < 0.5,
+                             read_x=rng.choice(xs), read_y=rng.choice(xs))
+        yield rng, encode(random_behavior(rng, cfg, p=rng.choice([0.5, 0.8, 1.0])))
+
+
+def _point_sets(rng, prob):
+    """The solver's model, if any, and the model with one excluded grid point
+    added; a random half of the grid; a single point; and none."""
+    grid = _grid(prob)
+    result = solve_depth1(prob)
+    sets = [[], [rng.choice(grid)], [pt for pt in grid if rng.random() < 0.5]]
+    if isinstance(result, Model):
+        excluded = [pt for pt in grid if pt not in result.points]
+        sets.append(result.points)
+        if excluded:
+            sets.append(result.points | {rng.choice(excluded)})
+    return sets
+
+
+def test_recheck_agrees_with_the_evaluator_clause_by_clause():
+    verdicts = set()
+    for rng, prob in _seeded_problems(61, 24):
+        clauses = prob.constraints
+        for points in _point_sets(rng, prob):
+            m = points_to_model(prob, points)
+            truths = [evaluate(m, "w0", clause_formula(c)) for c in clauses]
+            assert recheck_model(prob, points) is all(truths)
+            verdicts.add(all(truths))
+            # each clause alone, on a sample of the larger problems' clauses
+            for i in sorted(rng.sample(range(len(clauses)), min(len(clauses), 20))):
+                alone = Depth1Problem(prob.atom_domains, (clauses[i],))
+                assert recheck_model(alone, points) is truths[i], clauses[i]
+    assert verdicts == {True, False}
+
+
+def test_recheck_reads_points_as_any_iterable_of_equal_pairs():
+    # a frozenset, a list, a one-shot generator, or points whose pairs are
+    # equal to the grid's but not the same objects: the same verdict
+    for rng, prob in _seeded_problems(62, 24):
+        for points in _point_sets(rng, prob):
+            expected = recheck_model(prob, frozenset(points))
+            ordered = rng.sample(sorted(points), len(points))
+            fresh = [tuple(sorted(dict(pt).items())) for pt in ordered]
+            assert fresh == ordered
+            shared = {id(pair) for pt in ordered for pair in pt}
+            assert not any(id(pair) in shared for pt in fresh for pair in pt)
+            assert recheck_model(prob, ordered) is expected
+            assert recheck_model(prob, (pt for pt in ordered)) is expected
+            assert recheck_model(prob, fresh) is expected
+
+
+def test_recheck_refuses_a_point_a_forbidden_or_must_all_clause_excludes():
+    refused = set()
+    for rng, prob in _seeded_problems(63, 40):
+        result = solve_depth1(prob)
+        if not isinstance(result, Model):
+            continue
+        assert recheck_model(prob, result.points)
+        for c in prob.constraints:
+            if type(c) not in (Forbidden, MustAll):
+                continue
+            excluded = [pt for pt in _grid(prob)
+                        if eval_prop(c.body, dict(pt)) is (type(c) is Forbidden)]
+            if excluded:
+                assert recheck_model(prob, result.points | {rng.choice(excluded)}) is False
+                refused.add(type(c))
+    assert refused == {Forbidden, MustAll}
+
+
+def test_points_to_model_is_the_model_built_pair_by_pair():
+    # one Atom per (variable, value): the model each pair's own Atom builds
+    for rng, prob in _seeded_problems(64, 24):
+        for points in _point_sets(rng, prob):
+            names, valuation = [], {}
+            for i, pt in enumerate(sorted(points), 1):
+                names.append(f"w{i}")
+                for var, val in pt:
+                    valuation.setdefault(Atom(var, val), []).append(f"w{i}")
+            old = KripkeModel(["w0", *names], [("w0", name) for name in names], valuation)
+            assert points_to_model(prob, points) == old
+
+
 def _all_possible_3x3(first_label):
     labels = tuple(range(first_label, first_label + 3))
     cfg = ScenarioConfig(x_values=labels, y_values=labels, a_values=labels, b_values=labels,
